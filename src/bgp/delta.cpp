@@ -187,12 +187,9 @@ void DeltaPropagation::run_baseline(const RouteComparator& cmp) {
   }
 }
 
-void DeltaPropagation::set_victim_baseline(const AsGraph& graph, NodeId victim,
-                                           netsim::Ipv4Prefix prefix,
-                                           const PropagationConfig& config) {
-  if (victim.value >= graph.size()) {
-    throw std::invalid_argument("baseline victim is not in the graph");
-  }
+void DeltaPropagation::bind(const AsGraph& graph, NodeId victim,
+                            netsim::Ipv4Prefix prefix,
+                            const PropagationConfig& config) {
   graph_ = &graph;
   victim_ = victim;
   prefix_ = prefix;
@@ -218,6 +215,17 @@ void DeltaPropagation::set_victim_baseline(const AsGraph& graph, NodeId victim,
   delta_seed_epoch_ = kNone;
   stats_ = ReplayStats{};
   counts_ = Counts{};
+  victim_seed_ = Compact{};
+  baseline_watermark_ = 0;
+}
+
+void DeltaPropagation::set_victim_baseline(const AsGraph& graph, NodeId victim,
+                                           netsim::Ipv4Prefix prefix,
+                                           const PropagationConfig& config) {
+  if (victim.value >= graph.size()) {
+    throw std::invalid_argument("baseline victim is not in the graph");
+  }
+  bind(graph, victim, prefix, config);
 
   const std::uint64_t start_ns = flight_ != nullptr ? obs::flight_now_ns() : 0;
   victim_seed_ =
@@ -242,10 +250,25 @@ void DeltaPropagation::set_victim_baseline(const AsGraph& graph, NodeId victim,
   flush_replay_metrics();
 }
 
+void DeltaPropagation::set_empty_baseline(const AsGraph& graph,
+                                          netsim::Ipv4Prefix prefix,
+                                          const PropagationConfig& config) {
+  // The empty tables depend on the topology only through its size and rank
+  // order; ROAs and ROV/OTC flags are read live at replay time. An
+  // identical binding therefore needs no reset: replay() epoch-gates its
+  // own state.
+  if (graph_ == &graph && !victim_.valid() && prefix_ == prefix &&
+      roas_ == config.roas && metrics_ == config.metrics &&
+      flight_ == config.flight && ranks_ == graph.rank_order()) {
+    return;
+  }
+  bind(graph, NodeId{}, prefix, config);
+}
+
 void DeltaPropagation::replay(NodeId adversary, const Announcement& ann,
                               const RouteComparator& cmp) {
   if (!has_baseline()) {
-    throw std::logic_error("replay() without a victim baseline");
+    throw std::logic_error("replay() without a baseline");
   }
   if (ann.prefix != prefix_) {
     throw std::invalid_argument("replay announcement must share the baseline prefix");

@@ -37,6 +37,12 @@
 // backbones). Materialized results are value-identical to the full engine's
 // (same best route at every node, same Adj-RIB-In as a multiset), which a
 // differential test enforces.
+//
+// The same machinery evaluates a prefix nobody else originates (the
+// sub-prefix hijack's more-specific): over an empty baseline every base
+// export is "no route", so replay() is an exact single-origin propagation
+// whose eager cost is the adversary's provider ancestry and whose lazy
+// cost is the queried cone (DESIGN.md §11).
 #pragma once
 
 #include <cstdint>
@@ -68,6 +74,15 @@ class DeltaPropagation {
                            netsim::Ipv4Prefix prefix,
                            const PropagationConfig& config);
 
+  /// Bind an empty baseline: no AS originates `prefix`, so a replay() over
+  /// it is an exact single-origin propagation of the replayed announcement
+  /// (the sub-prefix hijack's more-specific). Nothing is propagated here
+  /// and nothing is recorded; victim() is invalid. Rebinding to the same
+  /// (graph topology, prefix, roas, metrics, flight) is O(1), so a caller
+  /// may call this before every replay.
+  void set_empty_baseline(const AsGraph& graph, netsim::Ipv4Prefix prefix,
+                          const PropagationConfig& config);
+
   /// Replay `ann` originated at `adversary` as a delta over the baseline.
   /// `cmp` must be the per-pair comparator (route-age salt included). The
   /// announcement must share the baseline prefix. Invalidates the previous
@@ -80,6 +95,7 @@ class DeltaPropagation {
   void replay_none();
 
   [[nodiscard]] bool has_baseline() const { return graph_ != nullptr; }
+  /// The baseline's origin; invalid for an empty baseline.
   [[nodiscard]] NodeId victim() const { return victim_; }
   [[nodiscard]] netsim::Ipv4Prefix prefix() const { return prefix_; }
   [[nodiscard]] const AsGraph& graph() const { return *graph_; }
@@ -165,6 +181,10 @@ class DeltaPropagation {
   [[nodiscard]] Compact recompute(NodeId n, bool customer_class,
                                   const RouteComparator& cmp) const;
 
+  /// Point the engine at (graph, victim, prefix, config) and reset every
+  /// table to "no route anywhere", recycling storage.
+  void bind(const AsGraph& graph, NodeId victim, netsim::Ipv4Prefix prefix,
+            const PropagationConfig& config);
   void run_baseline(const RouteComparator& cmp);
   void flush_replay_metrics() const;
 

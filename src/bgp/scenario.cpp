@@ -81,7 +81,7 @@ void HijackScenario::reset(const AsGraph& graph, NodeId victim,
 void HijackScenario::reset_incremental(DeltaPropagation& delta,
                                        NodeId adversary,
                                        const ScenarioConfig& config,
-                                       PropagationWorkspace& ws) {
+                                       PropagationWorkspace& /*ws*/) {
   const AsGraph& graph = delta.graph();
   const NodeId victim = delta.victim();
   if (victim == adversary) {
@@ -127,41 +127,59 @@ void HijackScenario::reset_incremental(DeltaPropagation& delta,
     delta.replay_none();
   }
   if (plan.sub_prefix.has_value()) {
-    // A distinct prefix cannot ride the baseline; it needs its own (full,
-    // separate) propagation.
-    PropagationConfig pc{config.tie_break, salt, config.roas,
-                         config.metrics, config.flight};
-    auto& seeds = ws.seeds;
-    seeds.clear();
-    seeds.push_back(SeededRoute{adversary, *plan.sub_prefix});
-    propagate_into(graph, seeds, pc, ws, sub_);
+    // Nobody else originates the more-specific, so it is replayed over an
+    // empty baseline: an exact single-origin propagation (DESIGN.md §11).
+    // It is replayed per pair, not cached per adversary: the forged origin
+    // makes the victim drop the route, so the tree depends on the victim
+    // too (§15).
+    const PropagationConfig pc{config.tie_break, salt, config.roas,
+                               config.metrics, config.flight};
+    sub_delta_.set_empty_baseline(graph, plan.sub_prefix->prefix, pc);
+    sub_delta_.replay(adversary, *plan.sub_prefix, cmp_);
     has_sub_ = true;
   }
 }
 
 HijackScenario::NodeView& HijackScenario::view_of(NodeId n) const {
+  NodeView* view = nullptr;
   for (NodeView& v : views_) {
     if (v.node == n) {
-      if (v.generation != generation_) {
-        delta_->materialize_rib(n, v.rib);
-        v.best_valid = false;
-        v.generation = generation_;
-      }
-      return v;
+      view = &v;
+      break;
     }
   }
-  views_.emplace_back();
-  NodeView& v = views_.back();
-  v.node = n;
-  v.generation = generation_;
-  delta_->materialize_rib(n, v.rib);
-  return v;
+  if (view == nullptr) {
+    view = &views_.emplace_back();
+    view->node = n;
+  }
+  if (view->generation != generation_) {
+    view->generation = generation_;
+    view->rib_valid = view->best_valid = view->sub_valid = false;
+  }
+  return *view;
 }
 
 const std::vector<RouteCandidate>& HijackScenario::primary_rib(
     NodeId n) const {
   if (delta_ == nullptr) return primary_.rib_in[n.value];
-  return view_of(n).rib;
+  NodeView& v = view_of(n);
+  if (!v.rib_valid) {
+    delta_->materialize_rib(n, v.rib);
+    v.rib_valid = true;
+  }
+  return v.rib;
+}
+
+const std::vector<RouteCandidate>& HijackScenario::sub_rib(NodeId n) const {
+  static const std::vector<RouteCandidate> kNoRoutes;
+  if (!has_sub_) return kNoRoutes;
+  if (delta_ == nullptr) return sub_.rib_in[n.value];
+  NodeView& v = view_of(n);
+  if (!v.sub_valid) {
+    sub_delta_.materialize_rib(n, v.sub_rib);
+    v.sub_valid = true;
+  }
+  return v.sub_rib;
 }
 
 const std::optional<RouteCandidate>& HijackScenario::primary_best(
@@ -178,7 +196,10 @@ const std::optional<RouteCandidate>& HijackScenario::primary_best(
 OriginReached HijackScenario::reached(NodeId from) const {
   // Longest-prefix match: the sub-prefix route (if any) wins over the
   // covering prefix.
-  if (has_sub_ && sub_.reachable(from)) return OriginReached::Adversary;
+  if (has_sub_ && (delta_ != nullptr ? sub_delta_.reachable(from)
+                                     : sub_.reachable(from))) {
+    return OriginReached::Adversary;
+  }
   const auto role = delta_ != nullptr ? delta_->role_reached(from)
                                       : primary_.role_reached(from);
   if (!role) return OriginReached::None;

@@ -104,9 +104,12 @@ class HijackScenario {
   /// cached victim baseline (delta carries the graph, victim, and prefix)
   /// by replaying only the adversary's announcement. Equivalent to reset()
   /// with the same parameters — every query answers identically — except
-  /// that primary() is unavailable; use primary_rib()/primary_best(),
-  /// which materialize on demand. `delta` must outlive the scenario's next
-  /// reset and must not be replayed by anyone else in between.
+  /// that primary() and sub_prefix() are unavailable; use primary_rib(),
+  /// primary_best() and sub_rib(), which materialize on demand. A
+  /// sub-prefix is replayed through this scenario's own empty-baseline
+  /// engine. `delta` must outlive the scenario's next reset and must not be
+  /// replayed by anyone else in between. `ws` is not used (the parameter
+  /// keeps the call shape of reset()).
   void reset_incremental(DeltaPropagation& delta, NodeId adversary,
                          const ScenarioConfig& config,
                          PropagationWorkspace& ws);
@@ -140,7 +143,8 @@ class HijackScenario {
   /// view into primary(); in incremental mode materialized from the delta
   /// state and cached until the next reset (the campaign queries only a
   /// handful of backbone nodes per attack). The reference is invalidated
-  /// by the next reset_* or primary_rib() call.
+  /// by the next reset_* call, or by any per-node query (primary_rib,
+  /// primary_best, sub_rib) for a different node.
   [[nodiscard]] const std::vector<RouteCandidate>& primary_rib(NodeId n) const;
 
   /// Node n's best route for the primary prefix (see primary_rib()).
@@ -148,10 +152,21 @@ class HijackScenario {
       NodeId n) const;
 
   /// Propagation state for the adversary's sub-prefix (SubPrefix attacks
-  /// only).
+  /// only). Like primary(), only available after a full reset(); throws
+  /// std::logic_error in incremental mode (use sub_rib()/reached()).
   [[nodiscard]] const PropagationResult* sub_prefix() const {
+    if (delta_ != nullptr) {
+      throw std::logic_error(
+          "HijackScenario::sub_prefix() unavailable after "
+          "reset_incremental(); use sub_rib()");
+    }
     return has_sub_ ? &sub_ : nullptr;
   }
+
+  /// Node n's Adj-RIB-In for the adversary's sub-prefix; empty when the
+  /// attack announces none. Cached per node like primary_rib(), with the
+  /// same invalidation rule.
+  [[nodiscard]] const std::vector<RouteCandidate>& sub_rib(NodeId n) const;
 
   /// Fraction of ASes routing to the adversary (diagnostic).
   [[nodiscard]] double adversary_capture_fraction() const;
@@ -170,8 +185,9 @@ class HijackScenario {
   netsim::Ipv4Prefix prefix_;
   netsim::Ipv4Addr target_;
   PropagationResult primary_;
-  // Sub-prefix storage is kept alive across reset() calls (capacity reuse);
-  // has_sub_ says whether it is meaningful for the current attack.
+  // Full-mode sub-prefix storage, kept alive across reset() calls
+  // (capacity reuse); has_sub_ says whether the current attack has a
+  // sub-prefix (in either mode).
   PropagationResult sub_;
   bool has_sub_ = false;
   std::size_t node_count_ = 0;
@@ -182,17 +198,24 @@ class HijackScenario {
   PropagationResult baseline_;
 
   // Incremental mode: the delta engine holding this attack's primary-prefix
-  // state (null after a full reset). Materialized per-node views are cached
-  // by generation so repeated backbone queries within one attack hit the
-  // cache while a reset invalidates it in O(1).
+  // state (null after a full reset), and this scenario's own empty-baseline
+  // engine for the sub-prefix. The latter stays bound across pairs: its
+  // binding changes only with the graph, sub-prefix, ROAs, or sinks, i.e.
+  // once per victim. Materialized per-node views are cached by generation
+  // so repeated backbone queries within one attack hit the cache while a
+  // reset invalidates it in O(1).
   const DeltaPropagation* delta_ = nullptr;
+  DeltaPropagation sub_delta_;
   std::uint64_t generation_ = 0;
   struct NodeView {
     NodeId node;
     std::uint64_t generation = 0;
+    bool rib_valid = false;
     std::vector<RouteCandidate> rib;
     bool best_valid = false;
     std::optional<RouteCandidate> best;
+    bool sub_valid = false;
+    std::vector<RouteCandidate> sub_rib;
   };
   mutable std::vector<NodeView> views_;
   [[nodiscard]] NodeView& view_of(NodeId n) const;

@@ -409,11 +409,10 @@ bgp::OriginReached CloudProviderModel::resolve(
   const bgp::RouteComparator& cmp = scenario.comparator();
   // A more-specific route, if the backbone heard one, wins longest-prefix
   // match for the target no matter which egress a covering route would use.
-  if (const auto* sub = scenario.sub_prefix()) {
-    const auto& sub_rib = sub->rib_in[backbone_.value];
-    if (select_egress(perspective, sub_rib, cmp, roas) != nullptr) {
-      return bgp::OriginReached::Adversary;
-    }
+  const auto& sub_rib = scenario.sub_rib(backbone_);
+  if (!sub_rib.empty() &&
+      select_egress(perspective, sub_rib, cmp, roas) != nullptr) {
+    return bgp::OriginReached::Adversary;
   }
   const auto& rib = scenario.primary_rib(backbone_);
   const bgp::RouteCandidate* chosen = select_egress(perspective, rib, cmp, roas);
@@ -428,13 +427,12 @@ ResolveExplanation CloudProviderModel::resolve_explained(
     const bgp::RoaRegistry* roas) const {
   const bgp::RouteComparator& cmp = scenario.comparator();
   ResolveExplanation why;
-  if (const auto* sub = scenario.sub_prefix()) {
-    const auto& sub_rib = sub->rib_in[backbone_.value];
-    if (select_egress(perspective, sub_rib, cmp, roas) != nullptr) {
-      why.outcome = bgp::OriginReached::Adversary;
-      why.decided_by = obs::VerdictStep::MoreSpecific;
-      return why;
-    }
+  const auto& sub_rib = scenario.sub_rib(backbone_);
+  if (!sub_rib.empty() &&
+      select_egress(perspective, sub_rib, cmp, roas) != nullptr) {
+    why.outcome = bgp::OriginReached::Adversary;
+    why.decided_by = obs::VerdictStep::MoreSpecific;
+    return why;
   }
   const auto& rib = scenario.primary_rib(backbone_);
   const bgp::RouteCandidate* chosen =

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -285,6 +286,14 @@ std::uint32_t get_u32le(std::istream& in, const char* what) {
   return v;
 }
 
+/// a * b, or a runtime_error when the product does not fit a size_t.
+std::size_t checked_mul(std::size_t a, std::size_t b) {
+  if (a != 0 && b > std::numeric_limits<std::size_t>::max() / a) {
+    throw std::runtime_error("results binary header overflows the store size");
+  }
+  return a * b;
+}
+
 }  // namespace
 
 void ResultStore::save_binary(std::ostream& out) const {
@@ -327,8 +336,21 @@ ResultStore ResultStore::load_binary(std::istream& in) {
     throw std::runtime_error("unsupported results binary schema " +
                              std::to_string(schema));
   }
+  // Every header dimension is bounded before anything is sized by it:
+  // site and perspective counts must fit their index types, and a store
+  // holds at most one plane per attack type.
   const std::uint32_t sites = get_u32le(in, "sites");
+  if (sites > std::size_t{std::numeric_limits<SiteIndex>::max()} + 1) {
+    throw std::runtime_error("results binary site count out of range: " +
+                             std::to_string(sites));
+  }
   const std::uint32_t perspectives = get_u32le(in, "perspectives");
+  if (perspectives >
+      std::size_t{std::numeric_limits<PerspectiveIndex>::max()} + 1) {
+    throw std::runtime_error(
+        "results binary perspective count out of range: " +
+        std::to_string(perspectives));
+  }
   std::vector<bgp::AttackType> attacks;
   if (schema == kBinarySchemaLegacy) {
     attacks = {bgp::AttackType::EquallySpecific};
@@ -336,6 +358,10 @@ ResultStore ResultStore::load_binary(std::istream& in) {
     const std::uint32_t count = get_u32le(in, "attack count");
     if (count == 0) {
       throw std::runtime_error("results binary has zero attack planes");
+    }
+    if (count > bgp::kAttackTypeCount) {
+      throw std::runtime_error("results binary attack count out of range: " +
+                               std::to_string(count));
     }
     for (std::uint32_t i = 0; i < count; ++i) {
       const int byte = in.get();
@@ -349,14 +375,25 @@ ResultStore ResultStore::load_binary(std::istream& in) {
       attacks.push_back(static_cast<bgp::AttackType>(byte));
     }
   }
+  const std::size_t cells = checked_mul(
+      checked_mul(checked_mul(sites, sites), perspectives), attacks.size());
+  // The plane is read in bounded chunks before the store is built, so a
+  // header promising more cells than the stream holds fails after reading
+  // what is there, never with an allocation sized by the header alone.
+  constexpr std::size_t kChunk = std::size_t{1} << 20;
+  const std::size_t plane_bytes = cells / 2 + cells % 2;
+  std::string plane;
+  while (plane.size() < plane_bytes) {
+    const std::size_t at = plane.size();
+    const std::size_t step = std::min(kChunk, plane_bytes - at);
+    plane.resize(at + step);
+    if (!in.read(plane.data() + at, static_cast<std::streamsize>(step))) {
+      throw std::runtime_error("results binary truncated in outcome plane");
+    }
+  }
   ResultStore store(sites, perspectives, std::move(attacks));
-  const std::size_t cells = store.outcomes_.size();
   const std::size_t cells_per_plane =
       store.num_perspectives_ * store.num_pairs();
-  std::string plane((cells + 1) / 2, '\0');
-  if (!in.read(plane.data(), static_cast<std::streamsize>(plane.size()))) {
-    throw std::runtime_error("results binary truncated in outcome plane");
-  }
   for (std::size_t i = 0; i < cells; ++i) {
     const auto byte = static_cast<std::uint8_t>(plane[i / 2]);
     const std::uint8_t nibble = (i % 2 == 0) ? (byte & 0xf) : (byte >> 4);

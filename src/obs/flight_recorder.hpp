@@ -32,6 +32,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -296,7 +297,9 @@ class ProgressReporter {
   double min_interval_;
   std::chrono::steady_clock::time_point start_;
   std::mutex mutex_;
-  std::chrono::steady_clock::time_point last_{};
+  /// Time of the last printed line; empty until the first one, so the
+  /// first update always prints however long the host has been up.
+  std::optional<std::chrono::steady_clock::time_point> last_;
   bool printed_final_ = false;
   // Output goes through a LineGuard so verbose Logger lines blank and
   // redraw the live line instead of splicing into it. stderr shares the

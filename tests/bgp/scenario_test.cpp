@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
+#include "netsim/random.hpp"
 #include "topo/internet.hpp"
 #include "topo/vultr.hpp"
 
@@ -172,6 +176,90 @@ INSTANTIATE_TEST_SUITE_P(AllTypes, AttackTypeSweep,
                          ::testing::Values(AttackType::EquallySpecific,
                                            AttackType::ForgedOriginPrepend,
                                            AttackType::SubPrefix));
+
+// ------------------------------- incremental sub-prefix vs full engine
+
+using RibEntry = std::tuple<RouteSource, OriginRole, std::vector<Asn>, Asn,
+                            PopId, NodeId, Asn>;
+
+/// Rib as a canonically ordered multiset, for order-free comparison.
+std::vector<RibEntry> rib_multiset(const std::vector<RouteCandidate>& rib) {
+  std::vector<RibEntry> out;
+  for (const RouteCandidate& c : rib) {
+    EXPECT_EQ(c.ann.prefix, kPrefix.split().second);
+    out.emplace_back(c.source, c.ann.role, c.ann.as_path, c.from_asn,
+                     c.ingress_pop, c.from, c.ann.otc);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(SubPrefixScenario, IncrementalSubRibAndReachedMatchFullMode) {
+  // One full and one incremental scenario object across all pairs, as a
+  // campaign worker reuses them; the ROA registry is edited in place
+  // between pairs, so the incremental sub-prefix engine keeps its binding
+  // and must still read the current ROAs.
+  for (const bool with_rov : {false, true}) {
+    topo::InternetConfig icfg;
+    icfg.seed = 5;
+    icfg.num_tier1 = 6;
+    icfg.num_tier2 = 24;
+    icfg.num_tier3 = 60;
+    icfg.num_stub = 110;
+    topo::Internet net(icfg);
+    if (with_rov) net.deploy_rov(0.5, 0xA2);
+    const AsGraph& g = net.graph();
+    RoaRegistry roas;
+
+    ScenarioConfig sc;
+    sc.type = AttackType::SubPrefix;
+    sc.tie_break = TieBreakMode::Hashed;
+    sc.tie_break_seed = 0x5CE;
+    sc.roas = with_rov ? &roas : nullptr;
+    const PropagationConfig pc{sc.tie_break, sc.tie_break_seed, sc.roas,
+                               nullptr, nullptr};
+    PropagationWorkspace ws;
+    HijackScenario full;
+    HijackScenario incremental;
+    DeltaPropagation delta;
+    netsim::Rng rng(0x5C);
+    for (int trial = 0; trial < 6; ++trial) {
+      const NodeId victim{static_cast<std::uint32_t>(rng.index(g.size()))};
+      NodeId adversary{static_cast<std::uint32_t>(rng.index(g.size()))};
+      while (adversary == victim) {
+        adversary = NodeId{static_cast<std::uint32_t>(rng.index(g.size()))};
+      }
+      // Alternate a strict ROA (the /25 is Invalid) and a MAX_LEN 25 one.
+      const Roa roa{kPrefix, g.asn_of(victim),
+                    trial % 2 == 0 ? std::nullopt
+                                   : std::optional<std::uint8_t>(25)};
+      roas.add(roa);
+      full.reset(g, victim, adversary, kPrefix, sc, ws);
+      delta.set_victim_baseline(g, victim, kPrefix, pc);
+      incremental.reset_incremental(delta, adversary, sc, ws);
+
+      ASSERT_NE(full.sub_prefix(), nullptr);
+      EXPECT_THROW((void)incremental.sub_prefix(), std::logic_error);
+      EXPECT_EQ(incremental.target_address(), full.target_address());
+      for (std::uint32_t i = 0; i < g.size(); ++i) {
+        const NodeId n{i};
+        ASSERT_EQ(incremental.reached(n), full.reached(n)) << "node " << i;
+        ASSERT_EQ(rib_multiset(incremental.sub_rib(n)),
+                  rib_multiset(full.sub_rib(n)))
+            << "sub-prefix rib diverges at node " << i;
+      }
+      roas.remove(kPrefix, g.asn_of(victim));
+    }
+  }
+}
+
+TEST_F(ScenarioTest, SubRibIsEmptyWithoutAMoreSpecific) {
+  const HijackScenario s(internet_.graph(), victim_, adversary_, kPrefix,
+                         ScenarioConfig{});
+  for (std::uint32_t i = 0; i < internet_.graph().size(); ++i) {
+    EXPECT_TRUE(s.sub_rib(NodeId{i}).empty()) << "node " << i;
+  }
+}
 
 }  // namespace
 }  // namespace marcopolo::bgp

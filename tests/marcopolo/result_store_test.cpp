@@ -353,6 +353,36 @@ TEST(ResultStore, BinaryRejectsTruncation) {
   }
 }
 
+TEST(ResultStore, BinaryRejectsHostileHeaderBeforeAllocating) {
+  // 20 bytes: magic, schema, and dimensions claiming an astronomically
+  // large store, followed by no outcome plane worth the name. Each must be
+  // a parse error, not an allocation failure (or success) sized by it.
+  const auto header = [](std::uint8_t schema, std::uint32_t sites,
+                         std::uint32_t perspectives, std::uint32_t tail) {
+    std::string bytes = "MPRS";
+    bytes += static_cast<char>(schema);
+    bytes += std::string(3, '\0');
+    for (const std::uint32_t v : {sites, perspectives, tail}) {
+      for (int i = 0; i < 4; ++i) {
+        bytes += static_cast<char>((v >> (8 * i)) & 0xff);
+      }
+    }
+    return bytes;
+  };
+  const std::uint32_t kMax = 0xFFFFFFFFu;
+  for (const std::string& bytes : {
+           header(1, kMax, kMax, 0),    // the size product overflows
+           header(1, 65536, 65536, 0),  // in range, 2^48 cells, no plane
+           header(1, 65537, 1, 0),      // sites beyond SiteIndex
+           header(1, 1, 65537, 0),      // perspectives beyond the index
+           header(2, 2, 1, kMax),       // attack count beyond the types
+       }) {
+    ASSERT_EQ(bytes.size(), 20u);
+    std::stringstream hostile(bytes);
+    EXPECT_THROW((void)ResultStore::load_binary(hostile), std::runtime_error);
+  }
+}
+
 TEST(ResultStore, BinaryRejectsOutOfRangeNibble) {
   ResultStore store(2, 1);
   std::stringstream buffer;

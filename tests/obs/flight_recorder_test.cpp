@@ -353,6 +353,26 @@ TEST(ProgressReporter, PrintsFinalLineAndRespectsRateLimit) {
   EXPECT_NE(text.find("hijacked 40.0%"), std::string::npos);
 }
 
+TEST(ProgressReporter, FirstUpdatePrintsWhateverTheHostUptime) {
+  // The interval exceeds any steady_clock reading since boot, so measuring
+  // the first update against the clock's epoch would suppress it.
+  std::FILE* tmp = std::tmpfile();
+  ASSERT_NE(tmp, nullptr);
+  {
+    ProgressReporter reporter(nullptr, /*min_interval_s=*/1e12, tmp);
+    reporter.update(1, 4);  // first call prints
+    reporter.update(2, 4);  // rate-limited away
+  }
+  std::fflush(tmp);
+  std::rewind(tmp);
+  std::string text(1 << 12, '\0');
+  text.resize(std::fread(text.data(), 1, text.size(), tmp));
+  std::fclose(tmp);
+
+  EXPECT_EQ(count_occurrences(text, "[campaign]"), 1u);
+  EXPECT_NE(text.find("1/4 tasks"), std::string::npos);
+}
+
 TEST(ProgressReporter, LiveLinesOverwriteAndFinalLineIsNewlineTerminated) {
   std::FILE* tmp = std::tmpfile();
   ASSERT_NE(tmp, nullptr);
