@@ -1,13 +1,18 @@
 // Campaign wall-clock benchmark: run_paper_campaigns on the default
-// testbed across worker-thread counts, emitting self-describing JSON.
+// testbed across worker-thread counts, writing one obs::RunManifest.
 //
 // Measures the end-to-end time of the paper's headline artifact (both
 // attack-type hijack matrices) and checks the determinism invariant along
 // the way: every thread count must produce a byte-identical ResultStore
-// pair, with metrics enabled. The JSON carries everything needed to
-// interpret a result file on its own: the source version (git describe),
-// hostname, hardware thread count, perf-counter availability, the exact
-// campaign config, and the full metrics snapshot of the serial run.
+// pair, with metrics enabled. The output is a run manifest like every
+// other run document in the repo (`mpinspect summarize/diff/hotspots`
+// read it), self-describing through its config echo: the source version
+// (git describe), hostname, hardware thread count, perf-counter
+// availability, the exact campaign config, and one flat key per
+// measurement detail ("scaled.ases", "recording.overhead", ...). Each
+// thread-count run is a wall-clock phase named
+// paper_campaigns_threads_<n>_ms, gated by `mpinspect diff` like every
+// other phase; the metrics section is the serial run's snapshot.
 // Usage:
 //
 //   campaign_wallclock [--trace-out <dir>] [--phases <csv>]
@@ -16,51 +21,52 @@
 //                      [--serve-metrics <port>] [--tick-ms <n>]
 //                      [output.json] [thread counts...]
 //
-// Defaults: JSON to stdout-adjacent "campaign_wallclock.json", thread
-// counts {1, 2, 4, 8}, all phases.
+// Defaults: manifest to "campaign_wallclock.json", thread counts
+// {1, 2, 4, 8}, all phases.
 //
 // --profile attaches the in-process sampling profiler (default 997 Hz)
 // to every recorded serial rep in the recording block. The
-// "recording_overhead" ratio then measures recorder + profiler cost
+// "recording.overhead" ratio then measures recorder + profiler cost
 // against the plain runs — the ≤3% budget the profiler must live
-// inside — and the output gains a top-level "profile" section (hot
-// symbols, same schema as a run manifest) that `mpinspect diff` uses
-// for hot-symbol regression attribution. With --trace-out the bundle
-// additionally gets profile.folded and trace.json sample events.
+// inside — and the manifest gains its "profile" section (hot symbols)
+// that `mpinspect diff` uses for hot-symbol regression attribution.
+// With --trace-out the bundle additionally gets profile.folded and
+// trace.json sample events.
 //
 // --phases selects which measurement groups run, so CI and local loops
 // can re-run one gated phase without paying for the rest (in particular,
 // re-measuring the optimizer or resilience kernels without the 50k-AS
 // build). Tokens: runs, recording, optimizer, resilience, scaled, multi —
 // or a gated phase name (optimizer_exhaustive_ms, resilience_kernel_ms,
-// ...), which selects its group. Sections for skipped groups are omitted
-// from the JSON and their exit-code checks don't apply.
+// ...), which selects its group. Phases and config keys of skipped groups
+// are omitted from the manifest and their exit-code checks don't apply;
+// a ratio between two groups is written only when both ran.
 //
 // The multi group sweeps every registered attack type (narrow with
 // --attacks <csv|all>) over the same 50k-AS testbed the scaled group
 // uses — one campaign, one result-store plane per attack — and gates the
 // total as multi_attack_campaign_ms. Because every plane reuses the
 // announcer's propagation baseline, the per-attack cost should stay well
-// below a standalone campaign; the "per_attack_ratio_vs_scaled" field
-// states the measured ratio whenever the scaled group also ran.
+// below a standalone campaign; the "multi_attack.per_attack_ratio_vs_scaled"
+// key states the measured ratio whenever the scaled group also ran.
 //
 // Every gated single-threaded phase runs under an obs::PhaseCounters
-// scope: its JSON row carries instructions/ipc/cache_miss_rate and
+// scope: its phase row carries instructions/ipc/cache_miss_rate and
 // peak-RSS next to the wall-clock, giving `mpinspect diff` a
 // deterministic quantity to gate at 3% where wall-clock needs 25%. On
-// hosts that deny perf_event_open the top-level "perf_counters" field
-// says "unavailable" (with the errno in "perf_counters_reason") and the
-// phase rows simply omit counter fields.
+// hosts that deny perf_event_open the "perf_counters" config key says
+// "unavailable" (with the errno in "perf_counters_reason") and the phase
+// rows simply omit counter fields.
 //
 // The recording block always finishes with an extra serial run under the
-// flight recorder and reports the relative cost as "recording_overhead"
+// flight recorder and reports the relative cost as "recording.overhead"
 // (plus the on/off byte-identity of the recorded run). With --trace-out
 // the flight journal from a counter-enabled recorded run is exported as
 // a trace bundle into <dir> — its task spans carry instructions/cycles
 // args when the host has counters.
 //
 // --telemetry-out / --serve-metrics attach a live obs::TelemetryHub to
-// every *recorded* rep of the recording block, so "recording_overhead"
+// every *recorded* rep of the recording block, so "recording.overhead"
 // holds recorder + profiler + hub to the same 3% budget. The hub appends
 // its tick time-series to <dir>/timeseries.ndjson (pass the --trace-out
 // dir to get one self-checking bundle) and serves /metrics, /healthz,
@@ -71,7 +77,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <span>
@@ -122,6 +127,15 @@ std::string hostname() {
   return "unknown";
 }
 
+/// Registry names of `attacks`, comma-separated (a config-echo value).
+std::string attack_names(const std::vector<bgp::AttackType>& attacks) {
+  std::string names;
+  for (const bgp::AttackType type : attacks) {
+    names += (names.empty() ? "" : ",") + std::string(bgp::to_cstring(type));
+  }
+  return names;
+}
+
 /// Which measurement groups this invocation runs (--phases).
 struct PhaseSelection {
   bool runs = true;
@@ -164,13 +178,6 @@ struct PhaseSelection {
     }
     return true;
   }
-};
-
-/// One gated phase row for the JSON "phases" array.
-struct PhaseRow {
-  std::string name;
-  double seconds = 0.0;
-  obs::PhaseStats stats;
 };
 
 }  // namespace
@@ -267,14 +274,35 @@ int main(int argc, char** argv) {
     testbed.emplace(core::TestbedConfig{});
   }
 
-  struct Row {
-    std::size_t threads;
-    double seconds;
-    bool identical;
-    std::uint64_t tasks;
-    std::uint64_t propagations;
-  };
-  std::vector<Row> rows;
+  obs::RunManifest manifest("campaign_wallclock");
+  manifest.set("version", MARCOPOLO_GIT_DESCRIBE);
+  manifest.set("hostname", hostname());
+  manifest.set("perf_counters",
+               counters_available ? "available" : "unavailable");
+  if (!counters_available) {
+    manifest.set("perf_counters_reason",
+                 obs::PerfCounterGroup::probe_reason());
+  }
+  manifest.set("hardware_concurrency",
+               std::uint64_t{std::thread::hardware_concurrency()});
+  std::string counts;
+  for (const std::size_t threads : thread_counts) {
+    counts += (counts.empty() ? "" : ",") + std::to_string(threads);
+  }
+  manifest.set("thread_counts", counts);
+  if (testbed) {
+    manifest.set("testbed", "default");
+    manifest.set("sites", testbed->sites().size());
+    manifest.set("perspectives", testbed->perspectives().size());
+    manifest.set("attack_types",
+                 attack_names({bgp::AttackType::EquallySpecific,
+                               bgp::AttackType::ForgedOriginPrepend}));
+    manifest.set("tie_break", "hashed");
+    manifest.set("tie_break_seed", kSeed);
+    manifest.set("metrics_enabled", true);
+  }
+
+  std::vector<std::size_t> mismatched_threads;
   std::string reference;
   double serial_seconds = 0.0;
   obs::MetricsSnapshot serial_metrics;
@@ -297,25 +325,26 @@ int main(int argc, char** argv) {
       const std::string bytes = dataset_bytes(data);
       if (reference.empty()) reference = bytes;
       const bool identical = bytes == reference;
-      const obs::MetricsSnapshot snap = registry.snapshot();
+      if (!identical) mismatched_threads.push_back(threads);
       if (threads == 1) {
         serial_seconds = secs;
-        serial_metrics = snap;
+        serial_metrics = registry.snapshot();
         have_serial_metrics = true;
       }
       if (!analysis_data) analysis_data = data;
-      rows.push_back(Row{threads, secs, identical,
-                         snap.counter("campaign.tasks_executed"),
-                         snap.counter("campaign.propagations")});
+      manifest.add_phase(
+          "paper_campaigns_threads_" + std::to_string(threads) + "_ms", secs);
       std::cerr << "threads=" << threads << "  " << secs << " s  "
                 << (identical ? "identical" : "MISMATCH") << std::endl;
     }
-    if (!have_serial_metrics && !rows.empty()) {
+    manifest.set("runs.store_identical", mismatched_threads.empty());
+    if (!have_serial_metrics && !thread_counts.empty()) {
       // No serial run requested: describe the first run instead.
       obs::MetricsRegistry registry;
       const auto t0 = clock();
       (void)core::run_paper_campaigns(*testbed, bgp::TieBreakMode::Hashed,
-                                      kSeed, rows.front().threads, &registry);
+                                      kSeed, thread_counts.front(),
+                                      &registry);
       serial_seconds = std::chrono::duration<double>(clock() - t0).count();
       serial_metrics = registry.snapshot();
       have_serial_metrics = true;
@@ -339,13 +368,9 @@ int main(int argc, char** argv) {
   // loaded box) cancels out of the ratio. Target: <3% overhead; the
   // recorded stores must stay byte-identical (pure-observer invariant).
   constexpr int kOverheadReps = 3;
-  double plain_best = 0.0;
-  double recorded_seconds = 0.0;
   bool recorded_identical = true;
-  std::size_t journal_tasks = 0;
-  std::size_t journal_verdicts = 0;
   // With --profile every recorded rep runs under the sampling profiler,
-  // so "recording_overhead" below measures recorder + profiler cost and
+  // so "recording.overhead" below measures recorder + profiler cost and
   // the 3% budget covers both. One profiler accumulates across reps and
   // is drained once, after the last recorded run.
   std::optional<obs::SamplingProfiler> profiler_storage;
@@ -373,6 +398,10 @@ int main(int argc, char** argv) {
     // registry swap rebinds the hub around the emplace (set_metrics
     // synchronizes with the tick, so the old registry can die safely).
     const bool telemetry_on = !telemetry_out.empty() || serve_port >= 0;
+    double plain_best = 0.0;
+    double recorded_seconds = 0.0;
+    std::size_t journal_tasks = 0;
+    std::size_t journal_verdicts = 0;
     obs::FlightRecorder flight_recorder;
     std::optional<obs::MetricsRegistry> registry;
     std::optional<obs::TelemetryHub> hub;
@@ -416,7 +445,7 @@ int main(int argc, char** argv) {
       const auto t0 = clock();
       const auto data = core::run_paper_campaigns(
           *testbed, bgp::TieBreakMode::Hashed, kSeed, 1, &*registry,
-          &flight_recorder, {}, /*hw_counters=*/counters_rep, profiler,
+          &flight_recorder, /*hw_counters=*/counters_rep, profiler,
           hub ? &*hub : nullptr);
       const double secs = std::chrono::duration<double>(clock() - t0).count();
       if (!counters_rep && (rep == 0 || secs < recorded_seconds)) {
@@ -460,11 +489,16 @@ int main(int argc, char** argv) {
               << recorded_seconds << " s vs " << plain_best << " s, best of "
               << kOverheadReps << ")  "
               << (recorded_identical ? "identical" : "MISMATCH") << std::endl;
+    manifest.set("recording.seconds", recorded_seconds);
+    manifest.set("recording.overhead", overhead);
+    manifest.set("recording.store_identical", recorded_identical);
+    manifest.set("recording.task_spans", journal_tasks);
+    manifest.set("recording.verdicts", journal_verdicts);
+    manifest.set("recording.profiled",
+                 profiler != nullptr && profiler->available());
+    // Serialized only when the profile holds samples (RunManifest gate).
+    manifest.set_profile(cpu_profile);
   }
-  const double recording_overhead =
-      plain_best > 0.0 ? recorded_seconds / plain_best - 1.0 : 0.0;
-
-  std::vector<PhaseRow> phase_rows;
 
   // Exhaustive-optimizer phase: the analysis layer's hot loop at benchmark
   // scale — a (6, N-2) search over every GCP perspective, C(40, 6) =
@@ -475,12 +509,7 @@ int main(int argc, char** argv) {
   // wall-clock phase to hold.
   std::vector<analysis::PerspectiveIndex> gcp;
   std::optional<analysis::ResilienceAnalyzer> analyzer;
-  double optimizer_seconds = 0.0;
-  double optimizer_scalar_seconds = 0.0;
-  double optimizer_speedup = 0.0;
   bool optimizer_agree = true;
-  analysis::SearchStats opt_stats;
-  analysis::RankedDeployment packed_best;
   if (select.optimizer || select.resilience) {
     gcp = testbed->perspectives_of(topo::CloudProvider::Gcp);
     analyzer.emplace(analysis_data->no_rpki);
@@ -495,17 +524,19 @@ int main(int argc, char** argv) {
     ocfg.top_k = 1;
     ocfg.threads = 1;
     ocfg.hw_counters = true;  // per-worker SearchStats attribution
+    analysis::SearchStats opt_stats;
     ocfg.stats = &opt_stats;
     obs::PhaseStats packed_stats;
+    analysis::RankedDeployment packed_best;
     const auto opt_t0 = clock();
     {
       obs::PhaseCounters scope(perf_group, &packed_stats);
       packed_best = optimizer.best(ocfg);
     }
-    optimizer_seconds =
+    const double optimizer_seconds =
         std::chrono::duration<double>(clock() - opt_t0).count();
-    phase_rows.push_back(
-        PhaseRow{"optimizer_exhaustive_ms", optimizer_seconds, packed_stats});
+    manifest.add_phase("optimizer_exhaustive_ms", optimizer_seconds,
+                       packed_stats);
     std::cerr << "  packed: " << optimizer_seconds << " s  ("
               << opt_stats.complete_sets_scored << " sets scored, "
               << opt_stats.subtrees_pruned << " subtrees pruned)"
@@ -522,20 +553,35 @@ int main(int argc, char** argv) {
                                                      ocfg.set_size,
                                                      opt_required);
     }
-    optimizer_scalar_seconds =
+    const double optimizer_scalar_seconds =
         std::chrono::duration<double>(clock() - scalar_t0).count();
-    phase_rows.push_back(PhaseRow{"optimizer_exhaustive_scalar_ms",
-                                  optimizer_scalar_seconds, scalar_stats});
+    manifest.add_phase("optimizer_exhaustive_scalar_ms",
+                       optimizer_scalar_seconds, scalar_stats);
     optimizer_agree =
         packed_best.score.median == scalar_best.score.median &&
         packed_best.score.average == scalar_best.score.average &&
         packed_best.spec.remotes == scalar_best.set;
-    optimizer_speedup =
+    const double optimizer_speedup =
         optimizer_seconds > 0.0 ? optimizer_scalar_seconds / optimizer_seconds
                                 : 0.0;
     std::cerr << "  scalar: " << optimizer_scalar_seconds
               << " s  (packed speedup " << optimizer_speedup << "x)  "
               << (optimizer_agree ? "identical" : "MISMATCH") << std::endl;
+    manifest.set("optimizer.candidates", gcp.size());
+    manifest.set("optimizer.set_size", ocfg.set_size);
+    manifest.set("optimizer.max_failures", ocfg.max_failures);
+    manifest.set("optimizer.threads", ocfg.threads);
+    manifest.set("optimizer.complete_sets_scored",
+                 opt_stats.complete_sets_scored);
+    manifest.set("optimizer.subtrees_pruned", opt_stats.subtrees_pruned);
+    if (opt_stats.counters.valid) {
+      manifest.set("optimizer.instructions", opt_stats.counters.instructions);
+      manifest.set("optimizer.cycles", opt_stats.counters.cycles);
+    }
+    manifest.set("optimizer.best_median", packed_best.score.median);
+    manifest.set("optimizer.best_average", packed_best.score.average);
+    manifest.set("optimizer.packed_speedup_vs_scalar", optimizer_speedup);
+    manifest.set("optimizer.scalar_agrees", optimizer_agree);
   }
 
   // Resilience-kernel phase: the direct packed-word kernel in isolation —
@@ -545,11 +591,11 @@ int main(int argc, char** argv) {
   // becomes the lowest-noise number in the file (a fixed instruction
   // stream, no allocation, no propagation). The checksum both defeats
   // dead-code elimination and doubles as a determinism check.
-  double resilience_seconds = 0.0;
-  double resilience_checksum = 0.0;
-  std::uint64_t resilience_sets_scored = 0;
   if (select.resilience) {
     std::cerr << "resilience direct kernel sweep..." << std::endl;
+    double resilience_seconds = 0.0;
+    double resilience_checksum = 0.0;
+    std::uint64_t resilience_sets_scored = 0;
     analysis::ResilienceAnalyzer::ScoreScratch scratch =
         analyzer->make_scratch();
     constexpr std::size_t kWindow = 6;
@@ -584,11 +630,15 @@ int main(int argc, char** argv) {
       resilience_checksum = checksum;
       resilience_sets_scored = scored;
     }
-    phase_rows.push_back(
-        PhaseRow{"resilience_kernel_ms", resilience_seconds, best_stats});
+    manifest.add_phase("resilience_kernel_ms", resilience_seconds,
+                       best_stats);
     std::cerr << "  " << resilience_sets_scored << " scores in "
               << resilience_seconds << " s (best of 3), checksum "
               << resilience_checksum << std::endl;
+    manifest.set("resilience_kernel.candidates", gcp.size());
+    manifest.set("resilience_kernel.window", kWindow);
+    manifest.set("resilience_kernel.sets_scored", resilience_sets_scored);
+    manifest.set("resilience_kernel.checksum", resilience_checksum);
   }
 
   // Scaled-topology phase: a full 32x31 campaign on a 50k-AS Internet.
@@ -598,7 +648,6 @@ int main(int argc, char** argv) {
   // that claim under the CI regression gate.
   double scaled_build_seconds = 0.0;
   double scaled_seconds = 0.0;
-  double scaled_ratio = 0.0;
   bool scaled_complete = true;
   std::size_t scaled_ases = 0;
   std::size_t scaled_sites = 0;
@@ -646,16 +695,23 @@ int main(int argc, char** argv) {
         }
       }
     }
-    phase_rows.push_back(
-        PhaseRow{"scaled_campaign_50k_ms", scaled_seconds, best_stats});
-    // The serial default run covers two hijack matrices; compare per
-    // matrix (0 when the sweep was skipped).
-    scaled_ratio = serial_seconds > 0.0
-                       ? scaled_seconds / (serial_seconds * 0.5)
-                       : 0.0;
-    std::cerr << "scaled campaign: " << scaled_seconds << " s  ("
-              << scaled_ratio << "x the default per-matrix serial run)  "
-              << (scaled_complete ? "complete" : "INCOMPLETE") << std::endl;
+    manifest.add_phase("scaled_campaign_50k_ms", scaled_seconds, best_stats);
+    manifest.set("scaled.ases", scaled_ases);
+    manifest.set("scaled.sites", scaled_sites);
+    // The 50k testbed build is allocation-bound and jitters ~30% run to
+    // run, so it is reported here but not gated as a phase.
+    manifest.set("scaled.build_seconds", scaled_build_seconds);
+    manifest.set("scaled.campaign_seconds", scaled_seconds);
+    std::cerr << "scaled campaign: " << scaled_seconds << " s  ";
+    if (select.runs) {
+      // The serial default run covers two hijack matrices; compare per
+      // matrix.
+      const double ratio = scaled_seconds / (serial_seconds * 0.5);
+      manifest.set("scaled.per_matrix_ratio_vs_default", ratio);
+      std::cerr << "(" << ratio << "x the default per-matrix serial run)  ";
+    }
+    std::cerr << (scaled_complete ? "complete" : "INCOMPLETE") << std::endl;
+    manifest.set("scaled.complete", scaled_complete);
   }
 
   // Multi-attack phase: every attack type in one campaign over the same
@@ -663,7 +719,6 @@ int main(int argc, char** argv) {
   // announcer's baseline. Gated as a whole; the per-attack ratio against
   // the single-attack scaled phase quantifies the baseline-sharing win.
   double multi_seconds = 0.0;
-  double multi_per_attack_ratio = 0.0;
   bool multi_complete = true;
   std::vector<bgp::AttackType> multi_attacks = attack_list;
   if (multi_attacks.empty()) {
@@ -701,159 +756,35 @@ int main(int argc, char** argv) {
         }
       }
     }
-    phase_rows.push_back(
-        PhaseRow{"multi_attack_campaign_ms", multi_seconds, best_stats});
-    multi_per_attack_ratio =
-        scaled_seconds > 0.0
-            ? multi_seconds /
-                  (static_cast<double>(multi_attacks.size()) * scaled_seconds)
-            : 0.0;
-    std::cerr << "multi-attack campaign: " << multi_seconds << " s  ("
-              << multi_per_attack_ratio
-              << "x the single-attack scaled run per attack)  "
-              << (multi_complete ? "complete" : "INCOMPLETE") << std::endl;
+    manifest.add_phase("multi_attack_campaign_ms", multi_seconds,
+                       best_stats);
+    manifest.set("multi_attack.ases", scaled_ases);
+    manifest.set("multi_attack.sites", scaled_sites);
+    manifest.set("multi_attack.attack_types", attack_names(multi_attacks));
+    manifest.set("multi_attack.campaign_seconds", multi_seconds);
+    std::cerr << "multi-attack campaign: " << multi_seconds << " s  ";
+    if (select.scaled) {
+      const double ratio =
+          multi_seconds /
+          (static_cast<double>(multi_attacks.size()) * scaled_seconds);
+      manifest.set("multi_attack.per_attack_ratio_vs_scaled", ratio);
+      std::cerr << "(" << ratio
+                << "x the single-attack scaled run per attack)  ";
+    }
+    std::cerr << (multi_complete ? "complete" : "INCOMPLETE") << std::endl;
+    manifest.set("multi_attack.complete", multi_complete);
   }
 
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"benchmark\": \"run_paper_campaigns\",\n"
-      << "  \"version\": \"" << obs::json_escape(MARCOPOLO_GIT_DESCRIBE)
-      << "\",\n"
-      << "  \"hostname\": \"" << obs::json_escape(hostname()) << "\",\n"
-      << "  \"perf_counters\": \""
-      << (counters_available ? "available" : "unavailable") << "\",\n";
-  if (!counters_available) {
-    out << "  \"perf_counters_reason\": \""
-        << obs::json_escape(obs::PerfCounterGroup::probe_reason()) << "\",\n";
+  if (!manifest.write_file(out_path, serial_metrics)) {
+    std::cerr << "failed to write " << out_path << std::endl;
+    return 1;
   }
-  out << "  \"hardware_concurrency\": "
-      << std::thread::hardware_concurrency() << ",\n"
-      << "  \"thread_counts\": [";
-  for (std::size_t i = 0; i < thread_counts.size(); ++i) {
-    out << (i ? ", " : "") << thread_counts[i];
-  }
-  out << "],\n";
-  if (testbed) {
-    out << "  \"config\": {\n"
-        << "    \"testbed\": \"default\",\n"
-        << "    \"sites\": " << testbed->sites().size() << ",\n"
-        << "    \"perspectives\": " << testbed->perspectives().size() << ",\n"
-        << "    \"attack_types\": [\"equally_specific\", "
-           "\"forged_origin_prepend\"],\n"
-        << "    \"tie_break\": \"hashed\",\n"
-        << "    \"tie_break_seed\": " << kSeed << ",\n"
-        << "    \"metrics_enabled\": true\n"
-        << "  },\n";
-  }
-  out << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    out << "    {\"threads\": " << r.threads << ", \"seconds\": " << r.seconds
-        << ", \"speedup_vs_1\": "
-        << (serial_seconds > 0.0 && r.seconds > 0.0
-                ? serial_seconds / r.seconds
-                : 0.0)
-        << ", \"tasks\": " << r.tasks
-        << ", \"propagations\": " << r.propagations
-        << ", \"store_identical\": " << (r.identical ? "true" : "false")
-        << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n"
-      << "  \"phases\": [\n";
-  for (std::size_t i = 0; i < phase_rows.size(); ++i) {
-    const PhaseRow& p = phase_rows[i];
-    out << "    {\"name\": \"" << p.name << "\", \"seconds\": " << p.seconds
-        << ", \"ms\": " << p.seconds * 1000.0;
-    obs::write_phase_stats_json(out, p.stats);
-    out << "}" << (i + 1 < phase_rows.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-  if (select.scaled) {
-    out << "  \"scaled\": {\n"
-        << "    \"ases\": " << scaled_ases << ",\n"
-        << "    \"sites\": " << scaled_sites << ",\n"
-        // The 50k testbed build is allocation-bound and jitters ~30% run
-        // to run, so it is reported here but not gated as a phase.
-        << "    \"build_seconds\": " << scaled_build_seconds << ",\n"
-        << "    \"campaign_seconds\": " << scaled_seconds << ",\n"
-        << "    \"per_matrix_ratio_vs_default\": " << scaled_ratio << ",\n"
-        << "    \"complete\": " << (scaled_complete ? "true" : "false")
-        << "\n  },\n";
-  }
-  if (select.multi) {
-    out << "  \"multi_attack\": {\n"
-        << "    \"ases\": " << scaled_ases << ",\n"
-        << "    \"sites\": " << scaled_sites << ",\n"
-        << "    \"attack_types\": [";
-    for (std::size_t i = 0; i < multi_attacks.size(); ++i) {
-      out << (i ? ", " : "") << "\"" << bgp::to_cstring(multi_attacks[i])
-          << "\"";
-    }
-    out << "],\n"
-        << "    \"campaign_seconds\": " << multi_seconds << ",\n"
-        << "    \"per_attack_ratio_vs_scaled\": " << multi_per_attack_ratio
-        << ",\n"
-        << "    \"complete\": " << (multi_complete ? "true" : "false")
-        << "\n  },\n";
-  }
-  if (select.optimizer) {
-    out << "  \"optimizer\": {\n"
-        << "    \"candidates\": " << gcp.size() << ",\n"
-        << "    \"set_size\": 6,\n"
-        << "    \"max_failures\": 2,\n"
-        << "    \"threads\": 1,\n"
-        << "    \"complete_sets_scored\": " << opt_stats.complete_sets_scored
-        << ",\n"
-        << "    \"subtrees_pruned\": " << opt_stats.subtrees_pruned << ",\n";
-    if (opt_stats.counters.valid) {
-      out << "    \"instructions\": " << opt_stats.counters.instructions
-          << ",\n"
-          << "    \"cycles\": " << opt_stats.counters.cycles << ",\n";
-    }
-    out << "    \"best_median\": " << packed_best.score.median << ",\n"
-        << "    \"best_average\": " << packed_best.score.average << ",\n"
-        << "    \"packed_speedup_vs_scalar\": " << optimizer_speedup << ",\n"
-        << "    \"scalar_agrees\": " << (optimizer_agree ? "true" : "false")
-        << "\n  },\n";
-  }
-  if (select.resilience) {
-    out << "  \"resilience_kernel\": {\n"
-        << "    \"candidates\": " << gcp.size() << ",\n"
-        << "    \"window\": 6,\n"
-        << "    \"sets_scored\": " << resilience_sets_scored << ",\n"
-        << "    \"checksum\": " << resilience_checksum << "\n  },\n";
-  }
-  if (select.recording) {
-    out << "  \"recording\": {\n"
-        << "    \"seconds\": " << recorded_seconds << ",\n"
-        << "    \"recording_overhead\": " << recording_overhead << ",\n"
-        << "    \"store_identical\": "
-        << (recorded_identical ? "true" : "false") << ",\n"
-        << "    \"task_spans\": " << journal_tasks << ",\n"
-        << "    \"verdicts\": " << journal_verdicts << ",\n"
-        << "    \"profiled\": "
-        << (profiler != nullptr && profiler->available() ? "true" : "false")
-        << "\n  },\n";
-  }
-  if (cpu_profile.available && cpu_profile.samples > 0) {
-    // Same schema as the run-manifest "profile" section, so mpinspect
-    // diff attributes instruction-gate breaches between bench documents.
-    out << "  \"profile\": ";
-    obs::write_profile_json(out, cpu_profile, "  ");
-    out << ",\n";
-  }
-  out << "  \"metrics\": ";
-  obs::write_metrics_json(out, serial_metrics, "  ");
-  out << "\n}\n";
   std::cerr << "wrote " << out_path << std::endl;
 
-  for (const Row& r : rows) {
-    if (!r.identical) {
-      std::cerr << "determinism violation at threads=" << r.threads
-                << std::endl;
-      return 1;
-    }
+  for (const std::size_t threads : mismatched_threads) {
+    std::cerr << "determinism violation at threads=" << threads << std::endl;
   }
+  if (!mismatched_threads.empty()) return 1;
   if (select.recording && !recorded_identical) {
     std::cerr << "determinism violation with flight recorder on" << std::endl;
     return 1;

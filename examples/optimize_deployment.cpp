@@ -23,8 +23,9 @@
 // RunManifest (config echo, phases, counters, latency histograms) is
 // written at exit. With --trace-out the campaign runs under a flight
 // recorder and a trace bundle (Chrome trace, NDJSON provenance journal,
-// Prometheus metrics) is written into <dir>; --progress prints a live
-// stderr line as campaign tasks retire. --profile samples campaign and
+// Prometheus metrics) is written into <dir>; --progress draws a live
+// stderr line at every telemetry tick (--tick-ms, default 1s) and a
+// summary line when the work drains. --profile samples campaign and
 // exhaustive-search worker CPU (default 997 Hz), adding hot symbols to
 // the manifest and profile.folded to the trace bundle. --telemetry-out /
 // --serve-metrics attach a live obs::TelemetryHub (NDJSON time-series
@@ -129,7 +130,6 @@ int main(int argc, char** argv) {
   obs::FlightRecorder flight_recorder;
   obs::FlightRecorder* recorder =
       trace_out.empty() ? nullptr : &flight_recorder;
-  obs::ProgressReporter reporter(recorder);
   std::optional<obs::SamplingProfiler> profiler_storage;
   obs::SamplingProfiler* profiler = nullptr;
   if (profile) {
@@ -142,13 +142,14 @@ int main(int argc, char** argv) {
   }
   std::optional<obs::TelemetryHub> hub_storage;
   obs::TelemetryHub* hub = nullptr;
-  if (!telemetry_out.empty() || serve_port >= 0) {
+  if (!telemetry_out.empty() || serve_port >= 0 || progress) {
     obs::TelemetryConfig tcfg;
     tcfg.tick_ms = tick_ms;
     tcfg.timeseries_path = telemetry_out;
     tcfg.serve_port = serve_port;
     tcfg.metrics = metrics;
     tcfg.recorder = recorder;
+    tcfg.progress = progress ? stderr : nullptr;
     hub_storage.emplace(tcfg);
     hub = &*hub_storage;
     hub->start();
@@ -175,11 +176,6 @@ int main(int argc, char** argv) {
   campaign_cfg.recorder = recorder;
   campaign_cfg.profiler = profiler;
   campaign_cfg.telemetry = hub;
-  if (progress) {
-    campaign_cfg.progress = [&reporter](std::size_t done, std::size_t total) {
-      reporter.update(done, total);
-    };
-  }
   campaign_cfg.attacks = attacks;
   auto store = core::run_fast_campaign(testbed, campaign_cfg);
   manifest.add_phase("fast_campaign", phase.seconds());

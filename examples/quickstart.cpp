@@ -24,12 +24,13 @@
 // recorder and the run ends by writing a trace bundle into <dir>:
 // trace.json (Chrome trace_event, loadable at ui.perfetto.dev),
 // journal.ndjson (per-verdict decision provenance), and metrics.prom
-// (Prometheus text format). `--progress` prints a live stderr line as
-// campaign tasks retire; `--verbose` turns on the timestamped leveled
-// log. `--profile[=hz]` samples campaign and optimizer worker CPU with
-// the in-process profiler (default 997 Hz): hot symbols land in the
-// manifest, profile.folded joins the trace bundle, and sample events
-// merge into trace.json.
+// (Prometheus text format). `--progress` draws a live
+// `[campaign] done/total ... ETA` stderr line at every telemetry tick
+// (`--tick-ms`, default 1s) and a summary line when the work drains;
+// `--verbose` turns on the timestamped leveled log. `--profile[=hz]`
+// samples campaign and optimizer worker CPU with the in-process profiler
+// (default 997 Hz): hot symbols land in the manifest, profile.folded
+// joins the trace bundle, and sample events merge into trace.json.
 //
 // `--telemetry-out <dir|file>` / `--serve-metrics <port>` attach a live
 // obs::TelemetryHub for the whole run: a sampler tick (default 1s, set
@@ -41,7 +42,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -132,13 +132,6 @@ int main(int argc, char** argv) {
   obs::FlightRecorder flight_recorder;
   obs::FlightRecorder* recorder =
       trace_out.empty() ? nullptr : &flight_recorder;
-  obs::ProgressReporter reporter(recorder);
-  std::function<void(std::size_t, std::size_t)> progress_hook;
-  if (progress) {
-    progress_hook = [&reporter](std::size_t done, std::size_t total) {
-      reporter.update(done, total);
-    };
-  }
   std::optional<obs::SamplingProfiler> profiler_storage;
   obs::SamplingProfiler* profiler = nullptr;
   if (profile) {
@@ -153,13 +146,14 @@ int main(int argc, char** argv) {
   }
   std::optional<obs::TelemetryHub> hub_storage;
   obs::TelemetryHub* hub = nullptr;
-  if (!telemetry_out.empty() || serve_port >= 0) {
+  if (!telemetry_out.empty() || serve_port >= 0 || progress) {
     obs::TelemetryConfig tcfg;
     tcfg.tick_ms = tick_ms;
     tcfg.timeseries_path = telemetry_out;
     tcfg.serve_port = serve_port;
     tcfg.metrics = metrics;
     tcfg.recorder = recorder;
+    tcfg.progress = progress ? stderr : nullptr;
     hub_storage.emplace(tcfg);
     hub = &*hub_storage;
     hub->start();
@@ -191,7 +185,7 @@ int main(int argc, char** argv) {
   phase.restart();
   const auto dataset = core::run_paper_campaigns(
       testbed, bgp::TieBreakMode::Hashed, 0xCAFE, /*threads=*/0, metrics,
-      recorder, progress_hook, /*hw_counters=*/false, profiler, hub);
+      recorder, /*hw_counters=*/false, profiler, hub);
   manifest.add_phase("fast_campaign", phase.seconds());
   std::printf("Campaign: %zu attacks recorded (plus RPKI variant)\n",
               testbed.sites().size() * (testbed.sites().size() - 1));
@@ -208,7 +202,6 @@ int main(int argc, char** argv) {
     sweep.recorder = recorder;
     sweep.profiler = profiler;
     sweep.telemetry = hub;
-    sweep.progress = progress_hook;
     const auto sweep_store = core::run_fast_campaign(testbed, sweep);
     manifest.add_phase("multi_attack_sweep", phase.seconds());
     analysis::TextTable sweep_table({"Attack", "Hijacked verdicts"});

@@ -427,8 +427,8 @@ ResultStore run_fast_campaign(const Testbed& testbed,
 
   // One task per announcer; the worker iterates every adversary inside it
   // (baseline reuse). Accounting stays per (announcer, adversary) attack:
-  // tasks_executed, task spans, and progress all count attacks, exactly as
-  // when each attack was its own task.
+  // tasks_executed, task spans, and telemetry all count attacks, exactly
+  // as when each attack was its own task.
   std::vector<CampaignTask> tasks;
   tasks.reserve(sites.size());
   for (std::size_t announcer = 0; announcer < sites.size(); ++announcer) {
@@ -466,10 +466,7 @@ ResultStore run_fast_campaign(const Testbed& testbed,
   // go to per-thread shards and results to disjoint cells, so neither
   // the thread count nor the registry being attached can perturb bytes.
   std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> completed{0};
-  const std::size_t progress_every =
-      config.progress ? std::max<std::size_t>(1, config.progress_every) : 0;
-  // The telemetry hub counts the same unit as progress: attacks.
+  // The telemetry hub counts attacks, like tasks_executed.
   if (config.telemetry != nullptr) {
     config.telemetry->add_planned_tasks(total_attacks);
   }
@@ -487,29 +484,14 @@ ResultStore run_fast_campaign(const Testbed& testbed,
     obs::TelemetryWorkerSlot* slot = config.telemetry != nullptr
                                          ? config.telemetry->open_worker_slot()
                                          : nullptr;
-    std::size_t done_local = 0;
     while (true) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= tasks.size()) break;
-      // Progress is reported in attacks (pairs), the same unit as before
-      // the announcer-major regrouping; one task retires sites.size() of
-      // them at once.
+      // Telemetry counts attacks (pairs), the same unit as before the
+      // announcer-major regrouping; one task retires sites.size() of them
+      // at once.
       const std::size_t retired = worker.run(tasks[i]);
-      done_local += retired;
       if (slot != nullptr) config.telemetry->note_task_done(slot, retired);
-      if (progress_every != 0 && done_local >= progress_every) {
-        config.progress(
-            completed.fetch_add(done_local, std::memory_order_relaxed) +
-                done_local,
-            total_attacks);
-        done_local = 0;
-      }
-    }
-    if (progress_every != 0 && done_local != 0) {
-      const std::size_t done =
-          completed.fetch_add(done_local, std::memory_order_relaxed) +
-          done_local;
-      if (done == total_attacks) config.progress(done, total_attacks);
     }
     worker.flush_counters();
     if (slot != nullptr) config.telemetry->close_worker_slot(slot);
@@ -530,7 +512,6 @@ CampaignDataset run_paper_campaigns(
     const Testbed& testbed, bgp::TieBreakMode tie_break,
     std::uint64_t tie_break_seed, std::size_t threads,
     obs::MetricsRegistry* metrics, obs::FlightRecorder* recorder,
-    const std::function<void(std::size_t, std::size_t)>& progress,
     bool hw_counters, obs::SamplingProfiler* profiler,
     obs::TelemetryHub* telemetry) {
   FastCampaignConfig plain;
@@ -540,7 +521,6 @@ CampaignDataset run_paper_campaigns(
   plain.threads = threads;
   plain.metrics = metrics;
   plain.recorder = recorder;
-  plain.progress = progress;
   plain.hw_counters = hw_counters;
   plain.profiler = profiler;
   plain.telemetry = telemetry;

@@ -8,7 +8,6 @@
 // orchestrator.
 #pragma once
 
-#include <functional>
 
 #include "bgp/scenario.hpp"
 #include "marcopolo/result_store.hpp"
@@ -92,12 +91,6 @@ struct FastCampaignConfig {
   /// store stays byte-identical with the recorder on or off (asserted by
   /// tests) — and a null recorder means no clock reads at all.
   obs::FlightRecorder* recorder = nullptr;
-  /// Optional progress hook, called as tasks retire with
-  /// (tasks_completed, tasks_total). Invoked from worker threads (every
-  /// `progress_every` completions, and once at the end by the last
-  /// worker), so it must be thread-safe; it must not touch the store.
-  std::function<void(std::size_t, std::size_t)> progress;
-  std::size_t progress_every = 64;
   /// Open a per-worker perf_event group (obs::PerfCounterGroup) and
   /// attribute instructions/cycles to the campaign and its phases:
   /// campaign.{instructions,cycles,cache_references,cache_misses,
@@ -121,7 +114,8 @@ struct FastCampaignConfig {
   /// Optional live telemetry hub (obs::TelemetryHub): the campaign adds
   /// its attack count to the hub's planned total and every worker opens
   /// a completion slot it stamps per task — the hub's sampler thread
-  /// derives tasks/s, ETA, and stall warnings from those stamps. Worker
+  /// derives tasks/s, ETA, stall warnings and the optional `--progress`
+  /// line from those stamps. Worker
   /// cost is two relaxed atomic stores per task; same pure-observer
   /// contract as everything above (store/manifest/journal byte-identical
   /// with the hub on, off, or degraded, asserted by tests). Null = off.
@@ -152,9 +146,9 @@ struct FastCampaignConfig {
 /// outcome is recorded for each of them (and a victim whose nameserver
 /// host is the adversary itself is a total capture, no propagation).
 /// With a multi-entry attack list every (announcer, adversary) pair is
-/// swept once per attack type into that type's store plane; the progress/
-/// metrics/telemetry accounting unit is the (announcer, adversary,
-/// attack) triple. The saved CSV carries a `# schema=2` version comment
+/// swept once per attack type into that type's store plane; the metrics/
+/// telemetry accounting unit is the (announcer, adversary, attack)
+/// triple. The saved CSV carries a `# schema=2` version comment
 /// (see ResultStore::save_csv).
 [[nodiscard]] ResultStore run_fast_campaign(const Testbed& testbed,
                                             const FastCampaignConfig& config);
@@ -169,9 +163,7 @@ struct CampaignDataset {
     const Testbed& testbed, bgp::TieBreakMode tie_break,
     std::uint64_t tie_break_seed, std::size_t threads = 0,
     obs::MetricsRegistry* metrics = nullptr,
-    obs::FlightRecorder* recorder = nullptr,
-    const std::function<void(std::size_t, std::size_t)>& progress = {},
-    bool hw_counters = false, obs::SamplingProfiler* profiler = nullptr,
+    obs::FlightRecorder* recorder = nullptr, bool hw_counters = false, obs::SamplingProfiler* profiler = nullptr,
     obs::TelemetryHub* telemetry = nullptr);
 
 }  // namespace marcopolo::core

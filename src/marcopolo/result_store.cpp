@@ -163,6 +163,32 @@ std::vector<bgp::AttackType> parse_attack_type_comment(
   return out;
 }
 
+/// Cell count of a store whose dimensions come from a file header
+/// (`format` names the file kind in errors). Sites and perspectives must
+/// fit their index types and the size product must fit a size_t, so
+/// neither loader sizes a store, or narrows an index, from an unchecked
+/// field.
+std::size_t checked_cell_count(const std::string& format, std::size_t sites,
+                               std::size_t perspectives,
+                               std::size_t attacks) {
+  if (sites > std::size_t{std::numeric_limits<SiteIndex>::max()} + 1) {
+    throw std::runtime_error(format + " site count out of range: " +
+                             std::to_string(sites));
+  }
+  if (perspectives >
+      std::size_t{std::numeric_limits<PerspectiveIndex>::max()} + 1) {
+    throw std::runtime_error(format + " perspective count out of range: " +
+                             std::to_string(perspectives));
+  }
+  const auto mul = [&format](std::size_t a, std::size_t b) {
+    if (a != 0 && b > std::numeric_limits<std::size_t>::max() / a) {
+      throw std::runtime_error(format + " header overflows the store size");
+    }
+    return a * b;
+  };
+  return mul(mul(mul(sites, sites), perspectives), attacks);
+}
+
 }  // namespace
 
 ResultStore ResultStore::load_csv(std::istream& in) {
@@ -223,6 +249,8 @@ ResultStore ResultStore::load_csv(std::istream& in) {
     throw std::runtime_error(
         "results csv attack_types comment does not match header count");
   }
+  (void)checked_cell_count("results csv", sites, perspectives,
+                           attacks.size());
   ResultStore store(sites, perspectives, std::move(attacks));
   std::getline(in, line);  // column header
   while (std::getline(in, line)) {
@@ -245,6 +273,12 @@ ResultStore ResultStore::load_csv(std::istream& in) {
     if (t >= store.num_attacks()) {
       throw std::runtime_error("results csv attack index out of range: " +
                                line);
+    }
+    // Range-check before narrowing: a wide index must not wrap onto a
+    // valid cell.
+    if (v >= store.num_sites() || a >= store.num_sites() ||
+        p >= store.num_perspectives()) {
+      throw std::runtime_error("results csv row index out of range: " + line);
     }
     store.record(t, static_cast<SiteIndex>(v), static_cast<SiteIndex>(a),
                  static_cast<PerspectiveIndex>(p),
@@ -284,14 +318,6 @@ std::uint32_t get_u32le(std::istream& in, const char* what) {
          << (8 * i);
   }
   return v;
-}
-
-/// a * b, or a runtime_error when the product does not fit a size_t.
-std::size_t checked_mul(std::size_t a, std::size_t b) {
-  if (a != 0 && b > std::numeric_limits<std::size_t>::max() / a) {
-    throw std::runtime_error("results binary header overflows the store size");
-  }
-  return a * b;
 }
 
 }  // namespace
@@ -336,21 +362,11 @@ ResultStore ResultStore::load_binary(std::istream& in) {
     throw std::runtime_error("unsupported results binary schema " +
                              std::to_string(schema));
   }
-  // Every header dimension is bounded before anything is sized by it:
-  // site and perspective counts must fit their index types, and a store
-  // holds at most one plane per attack type.
+  // Every header dimension is bounded before anything is sized by it
+  // (checked_cell_count below), and a store holds at most one plane per
+  // attack type.
   const std::uint32_t sites = get_u32le(in, "sites");
-  if (sites > std::size_t{std::numeric_limits<SiteIndex>::max()} + 1) {
-    throw std::runtime_error("results binary site count out of range: " +
-                             std::to_string(sites));
-  }
   const std::uint32_t perspectives = get_u32le(in, "perspectives");
-  if (perspectives >
-      std::size_t{std::numeric_limits<PerspectiveIndex>::max()} + 1) {
-    throw std::runtime_error(
-        "results binary perspective count out of range: " +
-        std::to_string(perspectives));
-  }
   std::vector<bgp::AttackType> attacks;
   if (schema == kBinarySchemaLegacy) {
     attacks = {bgp::AttackType::EquallySpecific};
@@ -375,8 +391,8 @@ ResultStore ResultStore::load_binary(std::istream& in) {
       attacks.push_back(static_cast<bgp::AttackType>(byte));
     }
   }
-  const std::size_t cells = checked_mul(
-      checked_mul(checked_mul(sites, sites), perspectives), attacks.size());
+  const std::size_t cells = checked_cell_count("results binary", sites,
+                                               perspectives, attacks.size());
   // The plane is read in bounded chunks before the store is built, so a
   // header promising more cells than the stream holds fails after reading
   // what is there, never with an allocation sized by the header alone.

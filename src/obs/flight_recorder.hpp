@@ -29,16 +29,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string_view>
 #include <vector>
 
 namespace marcopolo::obs {
-
-class LineGuard;  // obs/log.hpp
 
 /// Which decision point produced a perspective verdict. Values 0..4
 /// mirror bgp::DecisionStep (static_asserted at the emit sites); the
@@ -220,8 +216,8 @@ struct FlightJournal {
   [[nodiscard]] std::size_t adversary_verdict_count() const;
 };
 
-/// Owns the per-thread buffers plus a pair of live counters cheap enough
-/// for the progress reporter to poll mid-run.
+/// Owns the per-thread buffers plus live counters cheap enough for the
+/// telemetry hub to poll mid-run.
 class FlightRecorder {
  public:
   FlightRecorder() = default;
@@ -233,7 +229,7 @@ class FlightRecorder {
   /// ownership, so the pointer stays valid after the worker joins.
   [[nodiscard]] FlightBuffer* open_buffer();
 
-  /// Live verdict tally for progress reporting. Workers flush locally
+  /// Live verdict tally for the hub's tick. Workers flush locally
   /// accumulated counts once per task, so this is two relaxed adds per
   /// task, not per verdict.
   void note_verdicts(std::uint64_t total, std::uint64_t adversary) {
@@ -270,43 +266,6 @@ class FlightRecorder {
   std::atomic<std::uint64_t> verdicts_{0};
   std::atomic<std::uint64_t> adversary_verdicts_{0};
   std::atomic<std::uint64_t> instructions_{0};
-};
-
-/// Periodic stderr progress line driven from the campaign progress hook
-/// and, when a recorder is attached, its live verdict counters (plus
-/// live instructions/s on hw_counters runs):
-///
-///   [campaign] 512/992 tasks (51.6%)  324.1 tasks/s  2.1G instr/s  ETA 1.5s  hijacked 34.2%
-///
-/// Thread-safe and rate-limited (at most one update per interval). Live
-/// updates overwrite a single line via \r; completion always emits a
-/// newline-terminated 100% summary line, so the terminal is never left
-/// with a stale partial line. Null-cost when never called.
-class ProgressReporter {
- public:
-  explicit ProgressReporter(const FlightRecorder* recorder = nullptr,
-                            double min_interval_s = 0.5,
-                            std::FILE* out = stderr);
-  ~ProgressReporter();
-
-  /// Report `done` of `total` tasks. Safe to call from any worker.
-  void update(std::size_t done, std::size_t total);
-
- private:
-  const FlightRecorder* recorder_;
-  double min_interval_;
-  std::chrono::steady_clock::time_point start_;
-  std::mutex mutex_;
-  /// Time of the last printed line; empty until the first one, so the
-  /// first update always prints however long the host has been up.
-  std::optional<std::chrono::steady_clock::time_point> last_;
-  bool printed_final_ = false;
-  // Output goes through a LineGuard so verbose Logger lines blank and
-  // redraw the live line instead of splicing into it. stderr shares the
-  // process-wide guard with the Logger sink; other streams (tests write
-  // to a tmpfile) get a private guard with identical byte behavior.
-  LineGuard* guard_;
-  std::unique_ptr<LineGuard> owned_guard_;
 };
 
 }  // namespace marcopolo::obs

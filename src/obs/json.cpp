@@ -136,8 +136,15 @@ class Parser {
   Value parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth));
+      }
+      ++depth_;
+      Value value = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
+    }
     if (c == '"') return Value{parse_string()};
     if (consume_literal("true")) return Value{true};
     if (consume_literal("false")) return Value{false};
@@ -296,6 +303,7 @@ class Parser {
   }
 
   std::string_view text_;
+  std::size_t depth_ = 0;  ///< Open arrays/objects around pos_.
   std::size_t pos_ = 0;
 };
 

@@ -113,8 +113,14 @@ struct Value {
                                       std::string fallback) const;
 };
 
-/// Parse one complete JSON document (throws ParseError). Input must be
-/// exactly one value plus optional surrounding whitespace.
+/// Deepest array/object nesting parse() accepts. The descent recurses
+/// once per level, so an unbounded depth lets a small hostile file
+/// overflow the stack; every document the repo writes nests under 10.
+inline constexpr std::size_t kMaxDepth = 256;
+
+/// Parse one complete JSON document (throws ParseError, including for
+/// nesting deeper than kMaxDepth). Input must be exactly one value plus
+/// optional surrounding whitespace.
 [[nodiscard]] Value parse(std::string_view text);
 
 }  // namespace json

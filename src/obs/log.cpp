@@ -10,9 +10,9 @@ namespace marcopolo::obs {
 
 namespace {
 
-/// Render the live line exactly as ProgressReporter historically did:
-/// leading \r, left-justified and padded to blank a longer predecessor,
-/// newline only on the final update. Caller holds the guard mutex.
+/// Render the live line: leading \r, left-justified and padded to blank
+/// a longer predecessor, newline only on the final update. Caller holds
+/// the guard mutex.
 void render_live(std::FILE* out, std::string_view line, int* last_len,
                  bool final) {
   const int len = static_cast<int>(line.size());
@@ -68,7 +68,7 @@ void Logger::set_stderr_sink(LogLevel level, bool timestamps) {
   set_level(level);
   // Both sinks format the whole line into a buffer and hand it to the
   // shared stderr LineGuard, so log lines scroll cleanly above a live
-  // ProgressReporter line instead of corrupting it.
+  // telemetry progress line instead of corrupting it.
   if (!timestamps) {
     set_sink([](LogLevel lvl, std::string_view message) {
       char buf[512];

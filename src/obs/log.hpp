@@ -20,11 +20,12 @@
 
 namespace marcopolo::obs {
 
-/// Coordinates a `\r`-overwritten live status line (ProgressReporter,
-/// `mpinspect watch`) with whole-line writers (the Logger stderr sink)
-/// sharing one FILE*. Without coordination a log line emitted while the
-/// progress line is active splices into it mid-line and the next redraw
-/// leaves the tail of the longer line on screen.
+/// Coordinates a `\r`-overwritten live status line (the TelemetryHub's
+/// `--progress` line, `mpinspect watch`) with whole-line writers (the
+/// Logger stderr sink) sharing one FILE*. Without coordination a log
+/// line emitted while the progress line is active splices into it
+/// mid-line and the next redraw leaves the tail of the longer line on
+/// screen.
 ///
 /// All writers route through one guard per stream:
 ///   - live_line() renders the current status line: leading \r, padded to

@@ -20,6 +20,51 @@ std::string format_double(double value) {
   return text;
 }
 
+/// Append the counter/memory fields of one PhaseStats to a phase row
+/// under construction (emits ", \"instructions\": N, ..." — the caller
+/// owns the braces). Counter fields appear only when the sample is valid
+/// and memory fields only when /proc was readable, so counter-less hosts
+/// produce rows byte-identical to the pre-counter format.
+void write_phase_stats_json(std::ostream& out, const PhaseStats& stats) {
+  if (stats.counters.valid) {
+    const CounterSample& c = stats.counters;
+    out << ", \"instructions\": " << c.instructions
+        << ", \"cycles\": " << c.cycles
+        << ", \"cache_references\": " << c.cache_references
+        << ", \"cache_misses\": " << c.cache_misses
+        << ", \"branch_misses\": " << c.branch_misses
+        << ", \"ipc\": " << format_double(c.ipc())
+        << ", \"cache_miss_rate\": " << format_double(c.cache_miss_rate());
+  }
+  if (stats.mem_valid) {
+    out << ", \"peak_rss_kb\": " << stats.peak_rss_kb
+        << ", \"rss_delta_kb\": " << stats.rss_delta_kb;
+  }
+}
+
+/// A CpuProfile's summary as a JSON object: sampling rate, sample
+/// accounting, and the top-20 hot symbols by self samples
+/// ({"name", "self", "total"} each). `indent` is prepended to every line
+/// after the first.
+void write_profile_json(std::ostream& out, const CpuProfile& profile,
+                        std::string_view indent) {
+  out << "{\n"
+      << indent << "  \"hz\": " << profile.hz << ",\n"
+      << indent << "  \"samples\": " << profile.samples << ",\n"
+      << indent << "  \"dropped\": " << profile.dropped << ",\n"
+      << indent << "  \"truncated\": " << profile.truncated << ",\n"
+      << indent << "  \"symbols\": [";
+  const std::size_t n = std::min<std::size_t>(20, profile.symbols.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const HotSymbol& s = profile.symbols[i];
+    out << (i == 0 ? "\n" : ",\n") << indent << "    {\"name\": \""
+        << json_escape(s.name) << "\", \"self\": " << s.self
+        << ", \"total\": " << s.total << "}";
+  }
+  if (n > 0) out << "\n" << indent << "  ";
+  out << "]\n" << indent << "}";
+}
+
 }  // namespace
 
 void write_metrics_json(std::ostream& out, const MetricsSnapshot& snapshot,
@@ -93,23 +138,6 @@ void RunManifest::set(std::string_view key, bool value) {
   config_.emplace_back(std::string(key), value);
 }
 
-void write_phase_stats_json(std::ostream& out, const PhaseStats& stats) {
-  if (stats.counters.valid) {
-    const CounterSample& c = stats.counters;
-    out << ", \"instructions\": " << c.instructions
-        << ", \"cycles\": " << c.cycles
-        << ", \"cache_references\": " << c.cache_references
-        << ", \"cache_misses\": " << c.cache_misses
-        << ", \"branch_misses\": " << c.branch_misses
-        << ", \"ipc\": " << format_double(c.ipc())
-        << ", \"cache_miss_rate\": " << format_double(c.cache_miss_rate());
-  }
-  if (stats.mem_valid) {
-    out << ", \"peak_rss_kb\": " << stats.peak_rss_kb
-        << ", \"rss_delta_kb\": " << stats.rss_delta_kb;
-  }
-}
-
 void RunManifest::add_phase(std::string_view name, double seconds) {
   phases_.push_back(Phase{std::string(name), seconds, PhaseStats{}});
 }
@@ -117,25 +145,6 @@ void RunManifest::add_phase(std::string_view name, double seconds) {
 void RunManifest::add_phase(std::string_view name, double seconds,
                             const PhaseStats& stats) {
   phases_.push_back(Phase{std::string(name), seconds, stats});
-}
-
-void write_profile_json(std::ostream& out, const CpuProfile& profile,
-                        std::string_view indent, std::size_t top_n) {
-  out << "{\n"
-      << indent << "  \"hz\": " << profile.hz << ",\n"
-      << indent << "  \"samples\": " << profile.samples << ",\n"
-      << indent << "  \"dropped\": " << profile.dropped << ",\n"
-      << indent << "  \"truncated\": " << profile.truncated << ",\n"
-      << indent << "  \"symbols\": [";
-  const std::size_t n = std::min(top_n, profile.symbols.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const HotSymbol& s = profile.symbols[i];
-    out << (i == 0 ? "\n" : ",\n") << indent << "    {\"name\": \""
-        << json_escape(s.name) << "\", \"self\": " << s.self
-        << ", \"total\": " << s.total << "}";
-  }
-  if (n > 0) out << "\n" << indent << "  ";
-  out << "]\n" << indent << "}";
 }
 
 void RunManifest::set_profile(const CpuProfile& profile) {

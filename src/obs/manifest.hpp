@@ -6,9 +6,10 @@
 // `--metrics-out run.json` file answers "what ran, with what settings,
 // how long each phase took, and what the instrumented subsystems
 // counted" without re-running anything. The format is plain JSON with a
-// `manifest_schema` version field; `write_metrics_json()` is exposed
-// separately so benches can embed the metrics section inside their own
-// documents (campaign_wallclock does).
+// `manifest_schema` version field. It is the one run-document shape in
+// the repo: the examples' `--metrics-out` files and campaign_wallclock's
+// benchmark output (including the committed perf baseline) are all
+// RunManifests, so one reader and one comparison path serve them all.
 #pragma once
 
 #include <cstdint>
@@ -33,25 +34,6 @@ namespace marcopolo::obs {
 /// `indent` is prepended to every line after the first.
 void write_metrics_json(std::ostream& out, const MetricsSnapshot& snapshot,
                         std::string_view indent = {});
-
-/// Append the counter/memory fields of one PhaseStats to a JSON object
-/// under construction (emits ", \"instructions\": N, ..." — caller owns
-/// the braces). Counter fields appear only when the sample is valid and
-/// memory fields only when /proc was readable, so counter-less hosts
-/// produce phase rows byte-identical to the pre-counter format. Shared
-/// between RunManifest and the campaign_wallclock bench so both emit the
-/// exact field names manifest_reader parses.
-void write_phase_stats_json(std::ostream& out, const PhaseStats& stats);
-
-/// Write a CpuProfile's summary as a JSON object: sampling rate, sample
-/// accounting, and the top-`top_n` hot symbols by self samples
-/// ({"name", "self", "total"} each). Shared between RunManifest and the
-/// campaign_wallclock bench so both emit the exact field names
-/// manifest_reader parses. `indent` is prepended to every line after the
-/// first.
-void write_profile_json(std::ostream& out, const CpuProfile& profile,
-                        std::string_view indent = {},
-                        std::size_t top_n = 20);
 
 class RunManifest {
  public:

@@ -77,12 +77,9 @@ ReadManifest ManifestReader::read_string(const std::string& text) {
   }
 
   out.schema = static_cast<int>(doc.u64_or("manifest_schema", 0));
-  out.tool = doc.string_or("tool", doc.string_or("benchmark", ""));
-  out.version = doc.string_or("version", "");
+  out.tool = doc.string_or("tool", "");
   if (out.tool.empty()) {
-    out.errors.emplace_back(
-        "document has neither \"tool\" nor \"benchmark\" — not a run "
-        "manifest or campaign_wallclock output");
+    out.errors.emplace_back("document has no \"tool\" — not a run manifest");
     return out;
   }
 
@@ -90,9 +87,9 @@ ReadManifest ManifestReader::read_string(const std::string& text) {
       config != nullptr && config->is_object()) {
     for (const auto& [key, value] : config->object()) {
       out.config.emplace_back(key, display_string(value));
+      if (key == "perf_counters") out.perf_counters = out.config.back().second;
     }
   }
-  out.perf_counters = doc.string_or("perf_counters", "");
   if (const json::Value* phases = doc.find("phases");
       phases != nullptr && phases->is_array()) {
     for (const json::Value& phase : phases->array()) {
@@ -123,25 +120,6 @@ ReadManifest ManifestReader::read_string(const std::string& text) {
   if (const json::Value* metrics = doc.find("metrics");
       metrics != nullptr && metrics->is_object()) {
     read_metrics(*metrics, out.metrics);
-  }
-  if (const json::Value* runs = doc.find("runs");
-      runs != nullptr && runs->is_array()) {
-    for (const json::Value& run : runs->array()) {
-      if (!run.is_object()) continue;
-      BenchRunRow row;
-      row.threads = run.u64_or("threads", 0);
-      row.seconds = run.number_or("seconds", 0.0);
-      row.tasks = run.u64_or("tasks", 0);
-      row.propagations = run.u64_or("propagations", 0);
-      row.store_identical = run.bool_or("store_identical", true);
-      out.runs.push_back(row);
-    }
-  }
-  if (const json::Value* recording = doc.find("recording");
-      recording != nullptr && recording->is_object()) {
-    out.has_recording = true;
-    out.recording_overhead =
-        recording->number_or("recording_overhead", 0.0);
   }
   if (const json::Value* profile = doc.find("profile");
       profile != nullptr && profile->is_object()) {

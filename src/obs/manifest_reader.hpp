@@ -1,15 +1,14 @@
-// ManifestReader: parse run-manifest JSON (`--metrics-out`, RunManifest)
-// and campaign_wallclock benchmark JSON back into MetricsSnapshot-shaped
-// data.
+// ManifestReader: parse run-manifest JSON (RunManifest: the examples'
+// `--metrics-out` files and campaign_wallclock's benchmark output) back
+// into MetricsSnapshot-shaped data.
 //
-// Both document families share the top-level "metrics" section written
-// by write_metrics_json(); the reader reconstructs counters and
-// histograms (buckets, count, sum, min, max — the pNN fields are derived
-// and recomputed via HistogramSnapshot::quantile, never trusted from the
-// file). Manifest-only sections (config echo, phases) and bench-only
-// sections (per-thread-count runs, recording overhead) are optional:
-// whatever is present is read, everything else defaults. Unknown fields
-// are skipped — same forward-compatibility policy as the journal reader.
+// The reader reconstructs counters and histograms from the "metrics"
+// section written by write_metrics_json() (buckets, count, sum, min, max
+// — the pNN fields are derived and recomputed via
+// HistogramSnapshot::quantile, never trusted from the file), plus the
+// config echo, the phases and the optional profile section. Whatever is
+// present is read, everything else defaults; unknown fields are skipped
+// — same forward-compatibility policy as the journal reader.
 #pragma once
 
 #include <cstdint>
@@ -54,20 +53,6 @@ struct ReadPhase {
   }
 };
 
-/// One campaign_wallclock thread-count run row.
-struct BenchRunRow {
-  std::uint64_t threads = 0;
-  double seconds = 0.0;
-  std::uint64_t tasks = 0;
-  std::uint64_t propagations = 0;
-  bool store_identical = true;
-
-  /// Tasks retired per wall-clock second; 0 when unmeasurable.
-  [[nodiscard]] double throughput() const {
-    return seconds > 0.0 ? static_cast<double>(tasks) / seconds : 0.0;
-  }
-};
-
 /// One row of a manifest's hot-symbol table ("profile"."symbols").
 struct ReadHotSymbol {
   std::string name;
@@ -75,8 +60,7 @@ struct ReadHotSymbol {
   std::uint64_t total = 0;  ///< Samples with this symbol anywhere.
 };
 
-/// The "profile" section written by write_profile_json (manifests and
-/// campaign_wallclock documents share the shape).
+/// The "profile" section of a manifest.
 struct ReadProfile {
   std::uint32_t hz = 0;
   std::uint64_t samples = 0;
@@ -93,27 +77,22 @@ struct ReadProfile {
   }
 };
 
-/// Everything read back from one manifest/benchmark JSON document.
+/// Everything read back from one manifest JSON document.
 struct ReadManifest {
-  int schema = 0;       ///< manifest_schema; 0 for bench documents.
-  std::string tool;     ///< "tool" (manifest) or "benchmark" (bench) name.
-  std::string version;  ///< Bench "version" (git describe); may be empty.
+  int schema = 0;    ///< manifest_schema; 0 when the field is absent.
+  std::string tool;  ///< Writing program ("quickstart", ...).
 
   /// Config echo, values re-serialized as display strings.
   std::vector<std::pair<std::string, std::string>> config;
   /// Wall-clock phases in document order.
   std::vector<ReadPhase> phases;
 
-  /// Counter availability echoed by the writer ("available" /
-  /// "unavailable"); empty for documents that predate counters. Lets
-  /// diff explain *why* counter columns are missing.
+  /// Counter availability from the config echo's "perf_counters" key
+  /// ("available" / "unavailable"); empty when the writer did not echo
+  /// it. Lets diff explain *why* counter columns are missing.
   std::string perf_counters;
 
   MetricsSnapshot metrics;
-
-  std::vector<BenchRunRow> runs;  ///< campaign_wallclock only.
-  bool has_recording = false;
-  double recording_overhead = 0.0;
 
   /// CPU-profile summary; has_profile distinguishes "absent" (profiler
   /// off/unavailable, or a pre-profiler document) from an empty table.

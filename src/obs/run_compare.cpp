@@ -114,17 +114,6 @@ RunComparison compare_runs(const ReadManifest& base,
     }
   }
 
-  // Bench runs matched by thread count.
-  for (const BenchRunRow& brow : base.runs) {
-    for (const BenchRunRow& crow : cand.runs) {
-      if (crow.threads != brow.threads) continue;
-      out.runs.push_back(BenchRunDelta{brow.threads, brow.seconds,
-                                       crow.seconds, brow.throughput(),
-                                       crow.throughput()});
-      break;
-    }
-  }
-
   // Phases: union of names, baseline document order first, then
   // candidate-only names. First occurrence of a name wins on each side.
   const auto find_phase = [](const ReadManifest& m,
@@ -220,17 +209,6 @@ DiffGateResult evaluate_gate(const RunComparison& comparison,
                              const DiffGateConfig& config) {
   DiffGateResult out;
   bool instructions_breached = false;
-  for (const BenchRunDelta& run : comparison.runs) {
-    if (run.seconds_pct() > config.max_regress_pct) {
-      out.pass = false;
-      out.violations.push_back(
-          "threads=" + std::to_string(run.threads) + " wall-clock " +
-          format_pct(run.seconds_pct()) + " (" +
-          format_seconds(run.base_seconds) + " -> " +
-          format_seconds(run.cand_seconds) + ") exceeds " +
-          format_pct(config.max_regress_pct).substr(1));
-    }
-  }
   for (const PhaseDelta& phase : comparison.phases) {
     if (!phase.in_base || !phase.in_cand) {
       out.notes.push_back("phase " + phase.name + " only in " +

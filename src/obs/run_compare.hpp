@@ -5,8 +5,8 @@
 //   - `mpinspect summarize` renders one recorded run (provenance
 //     distribution, phase attribution, histogram quantiles);
 //   - `mpinspect diff` compares a candidate run against a baseline and
-//     gates CI on regressions (counter deltas, quantile shifts,
-//     throughput per thread count);
+//     gates CI on regressions (phase wall-clock and instructions,
+//     quantile shifts; counter deltas are reported);
 //   - `mpinspect check` (and quickstart's --trace-out self-check)
 //     structurally validates a trace bundle: schema tag, monotone
 //     timestamps within each lane, meta-vs-actual and
@@ -104,28 +104,12 @@ struct QuantileDelta {
   }
 };
 
-/// One thread-count-matched campaign_wallclock run row in both runs.
-struct BenchRunDelta {
-  std::uint64_t threads = 0;
-  double base_seconds = 0.0;
-  double cand_seconds = 0.0;
-  double base_throughput = 0.0;  ///< tasks/s.
-  double cand_throughput = 0.0;
-
-  /// Wall-clock change in percent (positive = candidate slower).
-  [[nodiscard]] double seconds_pct() const {
-    return base_seconds == 0.0
-               ? 0.0
-               : 100.0 * (cand_seconds - base_seconds) / base_seconds;
-  }
-};
-
 /// One named wall-clock phase (union of both runs, baseline order first).
-/// Bench documents use phases for single-shot measurements that have no
-/// thread-count axis — e.g. campaign_wallclock's exhaustive optimizer
-/// search — so the gate covers phases present in both runs like run rows;
-/// a one-sided phase (old baseline predating the measurement) is only a
-/// note.
+/// Every timed measurement is a phase — campaign_wallclock's per-thread-
+/// count sweep rows (`paper_campaigns_threads_<n>_ms`) as much as its
+/// optimizer search — so the gate covers phases present in both runs; a
+/// one-sided phase (old baseline predating the measurement, or a thread
+/// count only one run swept) is only a note.
 struct PhaseDelta {
   std::string name;
   double base_seconds = 0.0;
@@ -194,8 +178,7 @@ struct HotSymbolDelta {
 struct RunComparison {
   std::vector<CounterDelta> counters;    ///< Union of names, sorted.
   std::vector<QuantileDelta> quantiles;  ///< Common histograms × {p50,p95,p99}.
-  std::vector<BenchRunDelta> runs;       ///< Thread-count-matched rows.
-  std::vector<PhaseDelta> phases;        ///< Name-matched phases in both runs.
+  std::vector<PhaseDelta> phases;        ///< Union of both runs' phases.
   /// Counter availability echoed by each document ("available" /
   /// "unavailable" / "" for pre-counter documents) — lets the gate say
   /// *why* a side has no counter columns instead of silently noting.
@@ -217,9 +200,8 @@ struct RunComparison {
 
 /// CI gate over a comparison. A regression is a candidate that is slower
 /// than baseline by more than `max_regress_pct` percent on a gated
-/// quantity: per-thread-count wall-clock seconds (equivalently a
-/// throughput drop), named phases present in both runs, and the p95/p99
-/// of time-like histograms (names ending in `_ns` / `_ms`). A phase
+/// quantity: named phases present in both runs, and the p95/p99 of
+/// time-like histograms (names ending in `_ns` / `_ms`). A phase
 /// present in only one run is noted, never gated — an old baseline simply
 /// predates the measurement. Counter drift is reported in `notes` but
 /// never fails the gate — a changed workload makes timing comparisons

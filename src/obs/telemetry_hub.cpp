@@ -54,6 +54,12 @@ TelemetryHub::TelemetryHub(TelemetryConfig config)
     : config_(std::move(config)) {
   config_.tick_ms = std::max(config_.tick_ms, 10);
   config_.stall_ticks = std::max(config_.stall_ticks, 1);
+  if (config_.progress == stderr) {
+    progress_guard_ = &LineGuard::stderr_guard();
+  } else if (config_.progress != nullptr) {
+    owned_guard_ = std::make_unique<LineGuard>(config_.progress);
+    progress_guard_ = owned_guard_.get();
+  }
 }
 
 TelemetryHub::~TelemetryHub() { stop(); }
@@ -328,6 +334,7 @@ void TelemetryHub::tick_locked(bool final_tick) {
   snap.stalls = stalls_.load(std::memory_order_relaxed);
 
   write_tick_line(snap, have_counters ? &counters : nullptr);
+  draw_progress_line(snap);
 
   if (server_ != nullptr && server_->available()) {
     auto payload = std::make_shared<TelemetryPayload>();
@@ -417,6 +424,71 @@ void TelemetryHub::write_tick_line(const TelemetrySnapshot& snap,
   // crash-safe-append half of the contract; atomic rename is wrong here
   // because the file grows for the whole run).
   std::fflush(timeseries_);
+}
+
+void TelemetryHub::draw_progress_line(const TelemetrySnapshot& snap) {
+  if (progress_guard_ == nullptr) return;
+  // A tick with no task outstanding closes a showing live line with the
+  // summary, so a report printed between campaigns does not splice into
+  // it. The final tick prints the summary unless that exact one is
+  // already on screen: one completion line per batch of work.
+  const bool closing =
+      snap.final_tick || snap.tasks_done >= snap.tasks_total;
+  if (closing && !progress_live_ &&
+      (!snap.final_tick || progress_closed_at_ == snap.tasks_done)) {
+    return;
+  }
+  progress_live_ = !closing;
+  if (closing) progress_closed_at_ = snap.tasks_done;
+
+  // Live lines show the tick's rates; closing lines average over the
+  // whole run since start().
+  const double elapsed = static_cast<double>(snap.t_ns) / 1e9;
+  const auto per_s = [&](double live, std::uint64_t total) {
+    if (!closing) return live;
+    return elapsed > 0.0 ? static_cast<double>(total) / elapsed : 0.0;
+  };
+  const double rate = per_s(snap.tasks_per_s, snap.tasks_done);
+  const double instr_rate =
+      per_s(snap.instructions_per_s, snap.instructions);
+  const double pct = snap.tasks_total != 0
+                         ? 100.0 * static_cast<double>(snap.tasks_done) /
+                               static_cast<double>(snap.tasks_total)
+                         : 0.0;
+  char eta[32];
+  if (closing) {
+    std::snprintf(eta, sizeof eta, "done in %.1fs", elapsed);
+  } else if (snap.eta_s >= 0.0) {
+    std::snprintf(eta, sizeof eta, "ETA %.1fs", snap.eta_s);
+  } else {
+    std::snprintf(eta, sizeof eta, "ETA ?");
+  }
+  // Instructions/s only on hw_counters runs (the tally stays 0 otherwise,
+  // and the line keeps its counter-less shape); the hijack rate only with
+  // a recorder attached.
+  char instr[48] = "";
+  if (instr_rate >= 1e9) {
+    std::snprintf(instr, sizeof instr, "  %.1fG instr/s", instr_rate / 1e9);
+  } else if (instr_rate >= 1e6) {
+    std::snprintf(instr, sizeof instr, "  %.1fM instr/s", instr_rate / 1e6);
+  } else if (instr_rate > 0.0) {
+    std::snprintf(instr, sizeof instr, "  %.0f instr/s", instr_rate);
+  }
+  char hijacked[48] = "";
+  if (snap.verdicts != 0) {
+    std::snprintf(hijacked, sizeof hijacked, "  hijacked %.1f%%",
+                  100.0 * static_cast<double>(snap.adversary_verdicts) /
+                      static_cast<double>(snap.verdicts));
+  }
+  char line[224];
+  int len = std::snprintf(line, sizeof line,
+                          "[campaign] %" PRIu64 "/%" PRIu64
+                          " tasks (%.1f%%)  %.1f tasks/s%s  %s%s",
+                          snap.tasks_done, snap.tasks_total, pct, rate, instr,
+                          eta, hijacked);
+  len = std::clamp(len, 0, static_cast<int>(sizeof line) - 1);
+  progress_guard_->live_line(
+      std::string_view(line, static_cast<std::size_t>(len)), closing);
 }
 
 }  // namespace marcopolo::obs

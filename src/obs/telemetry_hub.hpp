@@ -18,6 +18,13 @@
 //     (b) publishes the snapshot to the optional TelemetryServer
 //         (`/metrics` Prometheus text, `/healthz`, `/snapshot.json` on
 //         localhost).
+//   - With `TelemetryConfig::progress` set (the examples' `--progress`),
+//     every tick also redraws the `[campaign] done/total ... ETA ...`
+//     status line on that stream through a LineGuard; a tick with no
+//     task outstanding, or the final tick in stop(), prints the
+//     newline-terminated summary (once per batch of work). There is no
+//     second clock or rate limiter: the line is drawn from the tick's
+//     own TelemetrySnapshot, at the tick period.
 //   - A stall watchdog rides the same tick: when zero tasks complete for
 //     `stall_ticks` consecutive ticks while workers are live, it logs a
 //     Warn line with per-worker last-completed-task ages and raises a
@@ -59,6 +66,7 @@
 namespace marcopolo::obs {
 
 class FlightRecorder;
+class LineGuard;
 class TelemetryServer;
 
 /// Per-worker completion slot. Workers stamp it through
@@ -81,6 +89,9 @@ struct TelemetryConfig {
   int stall_ticks = 5;         ///< Zero-progress ticks before a warning.
   MetricsRegistry* metrics = nullptr;     ///< Scraped per tick (optional).
   const FlightRecorder* recorder = nullptr;  ///< Live tallies (optional).
+  /// Stream for the live `[campaign]` progress line (stderr shares the
+  /// Logger's LineGuard); null = no line.
+  std::FILE* progress = nullptr;
 };
 
 /// One tick's derived state; latest() returns a copy for tests and the
@@ -172,6 +183,7 @@ class TelemetryHub {
                                  const MetricsSnapshot* counters);
   void write_tick_line(const TelemetrySnapshot& snap,
                        const MetricsSnapshot* counters);
+  void draw_progress_line(const TelemetrySnapshot& snap);
 
   TelemetryConfig config_;
 
@@ -183,6 +195,13 @@ class TelemetryHub {
 
   std::FILE* timeseries_ = nullptr;
   std::unique_ptr<TelemetryServer> server_;
+  // Progress-line output: stderr uses the process-wide guard shared with
+  // the Logger sink; other streams (tests write to a tmpfile) own one.
+  LineGuard* progress_guard_ = nullptr;
+  std::unique_ptr<LineGuard> owned_guard_;
+  bool progress_live_ = false;  ///< An unterminated live line is showing.
+  /// tasks_done of the last summary line (none yet: UINT64_MAX).
+  std::uint64_t progress_closed_at_ = ~std::uint64_t{0};
 
   std::chrono::steady_clock::time_point start_time_{};
   std::uint64_t next_tick_ = 0;

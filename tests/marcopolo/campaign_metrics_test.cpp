@@ -9,8 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <mutex>
 #include <vector>
 
 #include "testbed_fixture.hpp"
@@ -125,52 +123,6 @@ TEST(CampaignMetrics, DnsSurfaceCountsCollapses) {
   EXPECT_EQ(snap.counter("campaign.dns_dedup_collapses"),
             (sites - 3) * sites);
   EXPECT_GT(snap.counter("campaign.total_capture_tasks"), 0u);
-}
-
-TEST(CampaignMetrics, ProgressCallbackReachesTotalSerially) {
-  const auto& tb = shared_testbed();
-  const std::size_t expected_total = tb.sites().size() * tb.sites().size();
-
-  std::vector<std::pair<std::size_t, std::size_t>> calls;
-  FastCampaignConfig cfg;
-  cfg.threads = 1;
-  cfg.progress_every = 10;
-  cfg.progress = [&](std::size_t done, std::size_t total) {
-    calls.emplace_back(done, total);
-  };
-  (void)run_fast_campaign(tb, cfg);
-
-  ASSERT_FALSE(calls.empty());
-  for (std::size_t i = 0; i < calls.size(); ++i) {
-    EXPECT_EQ(calls[i].second, expected_total);
-    if (i > 0) {
-      EXPECT_GT(calls[i].first, calls[i - 1].first);
-    }
-  }
-  EXPECT_EQ(calls.back().first, expected_total)
-      << "the final completion must always be reported";
-}
-
-TEST(CampaignMetrics, ProgressCallbackIsThreadSafeAndFinal) {
-  const auto& tb = shared_testbed();
-  const std::size_t expected_total = tb.sites().size() * tb.sites().size();
-
-  std::mutex mutex;
-  std::size_t last_done = 0;
-  std::size_t call_count = 0;
-  FastCampaignConfig cfg;
-  cfg.threads = 4;
-  cfg.progress_every = 16;
-  cfg.progress = [&](std::size_t done, std::size_t total) {
-    std::scoped_lock lock(mutex);
-    EXPECT_EQ(total, expected_total);
-    EXPECT_LE(done, total);
-    last_done = std::max(last_done, done);
-    ++call_count;
-  };
-  (void)run_fast_campaign(tb, cfg);
-  EXPECT_GT(call_count, 0u);
-  EXPECT_EQ(last_done, expected_total);
 }
 
 TEST(CampaignMetrics, OrchestratorCountersMirrorStats) {

@@ -106,18 +106,24 @@ TEST(CampaignTelemetry, RegistryBytesIdenticalWithHubAttached) {
 }
 
 TEST(CampaignTelemetry, HubTracksPlannedAndCompletedTasks) {
-  obs::TelemetryConfig tcfg;
-  obs::TelemetryHub hub(tcfg);  // not started: tick_now drives it
-  FastCampaignConfig cfg;
-  cfg.threads = 2;
-  cfg.telemetry = &hub;
-  (void)run_fast_campaign(shared_testbed(), cfg);
-  hub.tick_now();
-  const obs::TelemetrySnapshot snap = hub.latest();
-  EXPECT_GT(snap.tasks_total, 0u);
-  EXPECT_EQ(snap.tasks_done, snap.tasks_total)
-      << "a finished campaign must have retired every planned task";
-  EXPECT_EQ(snap.workers_live, 0) << "slots must be closed after the drain";
+  // Serially and with workers racing on the slots, the hub plans one
+  // task per (announcer, adversary) attack and sees every one retire.
+  const std::size_t sites = shared_testbed().sites().size();
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    obs::TelemetryConfig tcfg;
+    obs::TelemetryHub hub(tcfg);  // not started: tick_now drives it
+    FastCampaignConfig cfg;
+    cfg.threads = threads;
+    cfg.telemetry = &hub;
+    (void)run_fast_campaign(shared_testbed(), cfg);
+    hub.tick_now();
+    const obs::TelemetrySnapshot snap = hub.latest();
+    EXPECT_EQ(snap.tasks_total, sites * sites) << threads << " threads";
+    EXPECT_EQ(snap.tasks_done, snap.tasks_total)
+        << "a finished campaign must have retired every planned task";
+    EXPECT_EQ(snap.workers_live, 0) << "slots must be closed after the drain";
+  }
 }
 
 }  // namespace

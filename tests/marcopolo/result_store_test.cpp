@@ -227,6 +227,29 @@ TEST(ResultStore, LoadRejectsWrongHeaderSecondTag) {
   EXPECT_THROW((void)ResultStore::load_csv(truncated), std::runtime_error);
 }
 
+TEST(ResultStore, LoadRejectsOutOfRangeDimensionsAndRowIndices) {
+  // sites = 2^32: sites^2 wraps to 0 in a size_t, so an unbounded reader
+  // built an empty store and wrote row (0,1) past its end.
+  std::stringstream wrapping(
+      "sites,4294967296,perspectives,1\n"
+      "victim,adversary,perspective,outcome\n"
+      "0,1,0,2\n");
+  EXPECT_THROW((void)ResultStore::load_csv(wrapping), std::runtime_error);
+  std::stringstream wide_perspectives("sites,2,perspectives,65537\n");
+  EXPECT_THROW((void)ResultStore::load_csv(wide_perspectives),
+               std::runtime_error);
+
+  // Row indices are range-checked before narrowing: victim 65536 must not
+  // wrap to SiteIndex 0 and land on cell (0,1).
+  for (const char* row : {"65536,1,0,2\n", "0,65537,0,2\n", "0,1,65536,2\n",
+                          "2,1,0,2\n", "0,1,1,2\n"}) {
+    std::stringstream wide(std::string("sites,2,perspectives,1\n"
+                                       "victim,adversary,perspective,outcome\n") +
+                           row);
+    EXPECT_THROW((void)ResultStore::load_csv(wide), std::runtime_error) << row;
+  }
+}
+
 TEST(ResultStore, CsvRoundTripPreservesEveryCellIncludingUnrecorded) {
   // A store with a mix of all three outcomes and unrecorded holes must
   // round-trip cell-exactly: unrecorded cells stay unrecorded (pair

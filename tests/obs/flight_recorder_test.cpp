@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -328,99 +327,6 @@ TEST(HistogramQuantile, SingleBucketInterpolatesWithinItsBounds) {
   EXPECT_GE(p25, 9.0);
   EXPECT_LE(p75, 14.0);
   EXPECT_LT(p25, p75);
-}
-
-TEST(ProgressReporter, PrintsFinalLineAndRespectsRateLimit) {
-  std::FILE* tmp = std::tmpfile();
-  ASSERT_NE(tmp, nullptr);
-  FlightRecorder recorder;
-  recorder.note_verdicts(10, 4);
-  {
-    ProgressReporter reporter(&recorder, /*min_interval_s=*/3600.0, tmp);
-    reporter.update(1, 4);    // first call always prints
-    reporter.update(2, 4);    // rate-limited away
-    reporter.update(4, 4);    // final line always prints
-    reporter.update(4, 4);    // duplicate final suppressed
-  }
-  std::fflush(tmp);
-  std::rewind(tmp);
-  std::string text(1 << 12, '\0');
-  text.resize(std::fread(text.data(), 1, text.size(), tmp));
-  std::fclose(tmp);
-
-  EXPECT_EQ(count_occurrences(text, "[campaign]"), 2u);
-  EXPECT_NE(text.find("4/4 tasks (100.0%)"), std::string::npos);
-  EXPECT_NE(text.find("hijacked 40.0%"), std::string::npos);
-}
-
-TEST(ProgressReporter, FirstUpdatePrintsWhateverTheHostUptime) {
-  // The interval exceeds any steady_clock reading since boot, so measuring
-  // the first update against the clock's epoch would suppress it.
-  std::FILE* tmp = std::tmpfile();
-  ASSERT_NE(tmp, nullptr);
-  {
-    ProgressReporter reporter(nullptr, /*min_interval_s=*/1e12, tmp);
-    reporter.update(1, 4);  // first call prints
-    reporter.update(2, 4);  // rate-limited away
-  }
-  std::fflush(tmp);
-  std::rewind(tmp);
-  std::string text(1 << 12, '\0');
-  text.resize(std::fread(text.data(), 1, text.size(), tmp));
-  std::fclose(tmp);
-
-  EXPECT_EQ(count_occurrences(text, "[campaign]"), 1u);
-  EXPECT_NE(text.find("1/4 tasks"), std::string::npos);
-}
-
-TEST(ProgressReporter, LiveLinesOverwriteAndFinalLineIsNewlineTerminated) {
-  std::FILE* tmp = std::tmpfile();
-  ASSERT_NE(tmp, nullptr);
-  {
-    ProgressReporter reporter(nullptr, /*min_interval_s=*/0.0, tmp);
-    reporter.update(1, 4);
-    reporter.update(2, 4);
-    reporter.update(4, 4);
-  }
-  std::fflush(tmp);
-  std::rewind(tmp);
-  std::string text(1 << 12, '\0');
-  text.resize(std::fread(text.data(), 1, text.size(), tmp));
-  std::fclose(tmp);
-
-  ASSERT_FALSE(text.empty());
-  // Every update (live or final) starts with \r so it overwrites the
-  // previous live line in place...
-  EXPECT_EQ(count_occurrences(text, "\r"), 3u);
-  // ...and only the final 100% summary carries a newline, as the very
-  // last byte: the terminal is never left mid-line.
-  EXPECT_EQ(count_occurrences(text, "\n"), 1u);
-  EXPECT_EQ(text.back(), '\n');
-  const std::string final_line =
-      text.substr(text.find_last_of('\r') + 1);
-  EXPECT_NE(final_line.find("4/4 tasks (100.0%)"), std::string::npos);
-  EXPECT_NE(final_line.find("done in"), std::string::npos);
-}
-
-TEST(ProgressReporter, ShorterLinesBlankOutLongerPredecessors) {
-  std::FILE* tmp = std::tmpfile();
-  ASSERT_NE(tmp, nullptr);
-  {
-    ProgressReporter reporter(nullptr, /*min_interval_s=*/0.0, tmp);
-    reporter.update(1000000, 2000000);  // long live line
-    reporter.update(2, 2);              // shorter final line
-  }
-  std::fflush(tmp);
-  std::rewind(tmp);
-  std::string text(1 << 12, '\0');
-  text.resize(std::fread(text.data(), 1, text.size(), tmp));
-  std::fclose(tmp);
-
-  // The final write is padded to at least the previous line's width, so
-  // leftover characters from the longer live line cannot survive it.
-  const std::size_t first_len = text.find('\r', 1) - 1;
-  const std::string final_line = text.substr(text.find_last_of('\r') + 1);
-  EXPECT_GE(final_line.size(), first_len);
 }
 
 }  // namespace

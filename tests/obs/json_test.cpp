@@ -84,6 +84,29 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(parse("{1: 2}"), ParseError);        // non-string key
 }
 
+TEST(JsonParse, NestingDepthIsBoundedNotAStackOverflow) {
+  const auto nested = [](std::size_t depth, char open, char close) {
+    return std::string(depth, open) + std::string(depth, close);
+  };
+  // Exactly at the bound parses, arrays and objects alike...
+  const Value deepest = parse(nested(kMaxDepth, '[', ']'));
+  EXPECT_TRUE(deepest.is_array());
+  std::string objects;
+  for (std::size_t i = 0; i < kMaxDepth; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(kMaxDepth, '}');
+  EXPECT_TRUE(parse(objects).is_object());
+  // ...one level past it is a ParseError, and so is a ~200 KB document
+  // 100,000 levels deep (an unbounded descent overflows the stack).
+  EXPECT_THROW(parse(nested(kMaxDepth + 1, '[', ']')), ParseError);
+  try {
+    (void)parse(nested(100'000, '[', ']'));
+    FAIL() << "100,000-deep document parsed";
+  } catch (const ParseError& error) {
+    EXPECT_EQ(error.offset(), kMaxDepth);
+    EXPECT_NE(std::string(error.what()).find("nesting"), std::string::npos);
+  }
+}
+
 TEST(JsonParse, ParseErrorCarriesByteOffset) {
   try {
     (void)parse("{\"a\": 1");

@@ -1,6 +1,7 @@
-// ManifestReader: RunManifest JSON and campaign_wallclock benchmark JSON
-// decode back into MetricsSnapshot-shaped data, with the same
-// forward-compatibility policy as the journal reader.
+// ManifestReader: RunManifest JSON (the examples' --metrics-out files and
+// campaign_wallclock's output alike) decodes back into
+// MetricsSnapshot-shaped data, with the same forward-compatibility policy
+// as the journal reader.
 #include "obs/manifest_reader.hpp"
 
 #include <gtest/gtest.h>
@@ -73,9 +74,7 @@ TEST(ManifestReader, RoundTripsARunManifest) {
   ASSERT_EQ(rh->buckets, wh->buckets);
   // Quantiles recompute identically from identical buckets.
   EXPECT_DOUBLE_EQ(rh->quantile(0.95), wh->quantile(0.95));
-
-  EXPECT_TRUE(read.runs.empty());
-  EXPECT_FALSE(read.has_recording);
+  EXPECT_FALSE(read.has_profile);
 }
 
 TEST(ManifestReader, RoundTripsPhaseCounters) {
@@ -152,10 +151,11 @@ TEST(ManifestReader, PreCounterDocumentsParseCleanly) {
 }
 
 TEST(ManifestReader, ReadsPerfCounterAvailabilityEcho) {
+  // The availability echo lives in the config like every other setting.
   const std::string doc = R"({
-    "benchmark": "campaign_wallclock",
-    "perf_counters": "unavailable",
-    "perf_counters_reason": "perf_event_open: No such file or directory",
+    "manifest_schema": 1, "tool": "campaign_wallclock",
+    "config": {"perf_counters": "unavailable",
+               "perf_counters_reason": "perf_event_open: No such file"},
     "phases": [{"name": "resilience_kernel_ms", "seconds": 0.1,
                 "instructions": 1000, "cycles": 500}]
   })";
@@ -168,39 +168,43 @@ TEST(ManifestReader, ReadsPerfCounterAvailabilityEcho) {
 }
 
 TEST(ManifestReader, ReadsCampaignWallclockDocuments) {
-  const std::string doc = R"({
-    "benchmark": "campaign_wallclock",
-    "version": "abc1234",
-    "config": {"ases": 943, "pairs": 2048},
-    "runs": [
-      {"threads": 1, "seconds": 0.5, "speedup_vs_1": 1.0,
-       "tasks": 2048, "propagations": 1984, "store_identical": true},
-      {"threads": 2, "seconds": 0.3, "speedup_vs_1": 1.67,
-       "tasks": 2048, "propagations": 1984, "store_identical": true}
-    ],
-    "recording": {"seconds": 0.52, "recording_overhead": 0.04,
-                  "store_identical": true, "task_spans": 2048,
-                  "verdicts": 211046},
-    "metrics": {"counters": {"campaign.tasks_executed": 2048},
-                "histograms": {}}
-  })";
-  const ReadManifest read = ManifestReader::read_string(doc);
+  // The bench writes a plain RunManifest: each thread-count run is a
+  // phase, section details are flat config keys, and the metrics section
+  // is the serial run's snapshot.
+  MetricsRegistry reg;
+  reg.counter("campaign.tasks_executed").add(2048);
+  RunManifest manifest("campaign_wallclock");
+  manifest.set("version", "abc1234");
+  manifest.set("perf_counters", "available");
+  manifest.set("thread_counts", "1,2");
+  manifest.set("scaled.ases", 50000);
+  manifest.set("recording.overhead", 0.04);
+  manifest.add_phase("paper_campaigns_threads_1_ms", 0.5);
+  manifest.add_phase("paper_campaigns_threads_2_ms", 0.3);
+  std::ostringstream out;
+  manifest.write_json(out, reg.snapshot());
+
+  const ReadManifest read = ManifestReader::read_string(out.str());
   ASSERT_TRUE(read.ok()) << read.errors.front();
-  EXPECT_EQ(read.schema, 0);  // bench documents carry no manifest_schema
+  EXPECT_EQ(read.schema, 1);
   EXPECT_EQ(read.tool, "campaign_wallclock");
-  EXPECT_EQ(read.version, "abc1234");
+  EXPECT_EQ(read.perf_counters, "available");
+  const auto config = [&read](const std::string& key) -> std::string {
+    for (const auto& [k, v] : read.config) {
+      if (k == key) return v;
+    }
+    return "<absent>";
+  };
+  EXPECT_EQ(config("version"), "abc1234");
+  EXPECT_EQ(config("thread_counts"), "1,2");
+  EXPECT_EQ(config("scaled.ases"), "50000");
+  EXPECT_EQ(config("recording.overhead"), "0.04");
 
-  ASSERT_EQ(read.runs.size(), 2u);
-  EXPECT_EQ(read.runs[0].threads, 1u);
-  EXPECT_EQ(read.runs[0].seconds, 0.5);
-  EXPECT_EQ(read.runs[0].tasks, 2048u);
-  EXPECT_EQ(read.runs[0].propagations, 1984u);
-  EXPECT_TRUE(read.runs[0].store_identical);
-  EXPECT_DOUBLE_EQ(read.runs[0].throughput(), 2048.0 / 0.5);
-  EXPECT_EQ(read.runs[1].threads, 2u);
-
-  EXPECT_TRUE(read.has_recording);
-  EXPECT_EQ(read.recording_overhead, 0.04);
+  ASSERT_EQ(read.phases.size(), 2u);
+  EXPECT_EQ(read.phases[0].name, "paper_campaigns_threads_1_ms");
+  EXPECT_EQ(read.phases[0].seconds, 0.5);
+  EXPECT_EQ(read.phases[1].name, "paper_campaigns_threads_2_ms");
+  EXPECT_EQ(read.phases[1].seconds, 0.3);
   EXPECT_EQ(read.metrics.counter("campaign.tasks_executed"), 2048u);
 }
 
@@ -245,9 +249,24 @@ TEST(ManifestReader, MalformedDocumentsReportErrors) {
 }
 
 TEST(ManifestReader, DocumentWithNeitherToolNorBenchmarkIsAnError) {
-  const ReadManifest read =
-      ManifestReader::read_string(R"({"something": "else"})");
-  EXPECT_FALSE(read.ok());
+  EXPECT_FALSE(ManifestReader::read_string(R"({"something": "else"})").ok());
+  // The retired hand-written bench shape (no "tool", per-thread "runs")
+  // is not a run manifest either: no compatibility branch reads it.
+  const ReadManifest legacy = ManifestReader::read_string(
+      R"({"version": "abc1234", "runs": [{"threads": 1, "seconds": 0.5}]})");
+  ASSERT_FALSE(legacy.ok());
+  EXPECT_NE(legacy.errors.front().find("tool"), std::string::npos);
+}
+
+TEST(ManifestReader, DeeplyNestedDocumentIsAnErrorNotACrash) {
+  // ~200 KB of brackets: an unbounded recursive descent overflows the
+  // stack here; the bounded parser reports a JSON error instead.
+  const std::string deep = R"({"tool": "x", "config": )" +
+                           std::string(100'000, '[') +
+                           std::string(100'000, ']') + "}";
+  const ReadManifest read = ManifestReader::read_string(deep);
+  ASSERT_FALSE(read.ok());
+  EXPECT_NE(read.errors.front().find("nesting"), std::string::npos);
 }
 
 }  // namespace

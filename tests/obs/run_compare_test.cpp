@@ -69,17 +69,16 @@ TEST(PhaseAttribution, SumsSpansAndDerivesOther) {
   EXPECT_EQ(phases.other_ns(), 2'000u);
 }
 
-/// A campaign_wallclock-shaped document with adjustable timing.
+/// A campaign_wallclock-shaped manifest with adjustable timing: its
+/// thread-count sweep is two phases, paper_campaigns_threads_{1,2}_ms.
 ReadManifest bench_doc(double t1_seconds, double t2_seconds,
                        std::uint64_t task_ns_scale = 1,
                        std::uint64_t tasks = 2048) {
-  std::string doc = R"({"benchmark": "campaign_wallclock", "runs": [)";
-  doc += R"({"threads": 1, "seconds": )" + std::to_string(t1_seconds) +
-         R"(, "tasks": )" + std::to_string(tasks) +
-         R"(, "propagations": 1984},)";
-  doc += R"({"threads": 2, "seconds": )" + std::to_string(t2_seconds) +
-         R"(, "tasks": )" + std::to_string(tasks) +
-         R"(, "propagations": 1984}],)";
+  std::string doc = R"({"tool": "campaign_wallclock", "phases": [)";
+  doc += R"({"name": "paper_campaigns_threads_1_ms", "seconds": )" +
+         std::to_string(t1_seconds) + "},";
+  doc += R"({"name": "paper_campaigns_threads_2_ms", "seconds": )" +
+         std::to_string(t2_seconds) + "}],";
   // One log2 bucket per sample keeps the quantile shift proportional to
   // the bucket bound scale.
   const std::uint64_t le = (std::uint64_t{1} << 18) - 1;
@@ -100,10 +99,10 @@ TEST(CompareRuns, SelfComparisonIsAllZeroAndPasses) {
   const ReadManifest doc = bench_doc(0.5, 0.3);
   const RunComparison comparison = compare_runs(doc, doc);
 
-  ASSERT_EQ(comparison.runs.size(), 2u);
-  for (const BenchRunDelta& run : comparison.runs) {
-    EXPECT_DOUBLE_EQ(run.seconds_pct(), 0.0);
-    EXPECT_DOUBLE_EQ(run.base_throughput, run.cand_throughput);
+  ASSERT_EQ(comparison.phases.size(), 2u);
+  for (const PhaseDelta& phase : comparison.phases) {
+    EXPECT_TRUE(phase.in_base && phase.in_cand);
+    EXPECT_DOUBLE_EQ(phase.pct(), 0.0);
   }
   ASSERT_EQ(comparison.quantiles.size(), 3u);  // one histogram x 3 q's
   for (const QuantileDelta& quantile : comparison.quantiles) {
@@ -127,7 +126,8 @@ TEST(CompareRuns, WallClockRegressionFailsTheGate) {
       evaluate_gate(compare_runs(base, cand), DiffGateConfig{25.0});
   EXPECT_FALSE(gate.pass);
   ASSERT_EQ(gate.violations.size(), 1u);
-  EXPECT_NE(gate.violations[0].find("threads=1"), std::string::npos);
+  EXPECT_NE(gate.violations[0].find("phase paper_campaigns_threads_1_ms"),
+            std::string::npos);
   EXPECT_NE(gate.violations[0].find("+60.0%"), std::string::npos);
 }
 
@@ -211,7 +211,7 @@ TEST(CompareRuns, OneSidedCountersAreNoted) {
 /// A bench-shaped document carrying only named phases.
 ReadManifest phase_doc(const std::vector<std::pair<std::string, double>>&
                            phases) {
-  std::string doc = R"({"benchmark": "campaign_wallclock", "phases": [)";
+  std::string doc = R"({"tool": "campaign_wallclock", "phases": [)";
   for (std::size_t i = 0; i < phases.size(); ++i) {
     doc += std::string(i ? "," : "") + R"({"name": ")" + phases[i].first +
            R"(", "seconds": )" + std::to_string(phases[i].second) + "}";
@@ -276,7 +276,7 @@ TEST(CompareRuns, OneSidedPhaseIsANoteNeverAViolation) {
 }
 
 /// A bench-shaped document with one counter-bearing phase. `availability`
-/// becomes the top-level "perf_counters" echo ("" omits the field, like a
+/// becomes the "perf_counters" config echo ("" omits the key, like a
 /// pre-counter writer).
 ReadManifest counter_phase_doc(std::uint64_t instructions,
                                std::uint64_t cycles,
@@ -284,9 +284,9 @@ ReadManifest counter_phase_doc(std::uint64_t instructions,
                                std::uint64_t cache_misses = 0,
                                const std::string& availability =
                                    "available") {
-  std::string doc = R"({"benchmark": "campaign_wallclock", )";
+  std::string doc = R"({"tool": "campaign_wallclock", )";
   if (!availability.empty()) {
-    doc += R"("perf_counters": ")" + availability + R"(", )";
+    doc += R"("config": {"perf_counters": ")" + availability + R"("}, )";
   }
   doc += R"("phases": [{"name": "resilience_kernel_ms", "seconds": 0.25)";
   if (instructions != 0) {

@@ -1,12 +1,13 @@
 // The live telemetry plane: hub ticks, the stall watchdog's exact
 // firing boundary, the localhost endpoint (and its degradation when the
-// port is taken), the timeseries reader's tamper detection, and the
-// LineGuard that keeps ProgressReporter and Logger from shredding each
-// other's stderr lines.
+// port is taken), the timeseries reader's tamper detection, the hub's
+// `--progress` line, and the LineGuard that keeps that line and the
+// Logger from shredding each other's stderr lines.
 #include "obs/telemetry_hub.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/flight_recorder.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry_server.hpp"
@@ -333,6 +335,103 @@ TEST(LineGuardTest, ConcurrentWritersNeverShredALogLine) {
     const std::string needle = "log line " + std::to_string(i) + "\n";
     EXPECT_NE(bytes.find(needle), std::string::npos) << needle;
   }
+}
+
+// --- progress line ---------------------------------------------------------
+
+std::size_t count_of(const std::string& text, char c) {
+  return static_cast<std::size_t>(std::count(text.begin(), text.end(), c));
+}
+
+TEST_F(TelemetryTest, ProgressLineFirstTickDrawsWhateverTheHostUptime) {
+  // No clock of its own to compare against: the very first tick draws,
+  // however long the host has been up.
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  {
+    TelemetryConfig cfg;
+    cfg.progress = f;
+    TelemetryHub hub(cfg);  // never started: no final line either
+    hub.add_planned_tasks(4);
+    hub.note_task_done(hub.open_worker_slot());
+    hub.tick_now();
+  }
+  const std::string bytes = drain(f);
+  std::fclose(f);
+  EXPECT_EQ(bytes.rfind("\r[campaign] 1/4 tasks (25.0%)", 0), 0u) << bytes;
+  EXPECT_EQ(count_of(bytes, '\r'), 1u);
+  EXPECT_EQ(count_of(bytes, '\n'), 0u) << "a live line is never terminated";
+}
+
+TEST_F(TelemetryTest, ProgressLineLiveTicksOverwriteAndStopPrintsOneSummary) {
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  FlightRecorder recorder;
+  recorder.note_verdicts(10, 4);
+  TelemetryConfig cfg;
+  cfg.tick_ms = 3'600'000;  // the sampler never ticks on its own here
+  cfg.recorder = &recorder;
+  cfg.progress = f;
+  TelemetryHub hub(cfg);
+  hub.start();
+  hub.add_planned_tasks(4);
+  TelemetryWorkerSlot* slot = hub.open_worker_slot();
+  hub.note_task_done(slot);
+  hub.tick_now();
+  hub.note_task_done(slot);
+  hub.tick_now();
+  hub.note_task_done(slot, 2);
+  hub.close_worker_slot(slot);
+  hub.stop();
+  hub.stop();  // idempotent: no second summary
+  const std::string bytes = drain(f);
+  std::fclose(f);
+
+  // Two live lines and the summary, each overwriting the previous in
+  // place; only the summary carries a newline, as the very last byte.
+  EXPECT_EQ(count_of(bytes, '\r'), 3u) << bytes;
+  ASSERT_EQ(count_of(bytes, '\n'), 1u) << bytes;
+  EXPECT_EQ(bytes.back(), '\n');
+  const std::size_t last_cr = bytes.find_last_of('\r');
+  const std::size_t prev_cr = bytes.find_last_of('\r', last_cr - 1);
+  const std::string live = bytes.substr(prev_cr + 1, last_cr - prev_cr - 1);
+  const std::string summary = bytes.substr(last_cr + 1);
+  EXPECT_NE(live.find("2/4 tasks (50.0%)"), std::string::npos) << live;
+  EXPECT_NE(live.find("ETA"), std::string::npos) << live;
+  EXPECT_NE(summary.find("4/4 tasks (100.0%)"), std::string::npos) << summary;
+  EXPECT_NE(summary.find("done in"), std::string::npos) << summary;
+  EXPECT_NE(summary.find("hijacked 40.0%"), std::string::npos) << summary;
+  // Padded to the previous line's width, so no tail of it survives.
+  EXPECT_GE(summary.size() - 1, live.size());
+}
+
+TEST_F(TelemetryTest, ProgressLineIdleTickClosesTheLiveLineOnce) {
+  // Between campaigns nothing is outstanding: the first idle tick
+  // newline-terminates the live line with the summary (so reports printed
+  // next do not splice into it); later idle ticks, and a stop() with no
+  // new work since, draw nothing.
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  {
+    TelemetryConfig cfg;
+    cfg.tick_ms = 3'600'000;
+    cfg.progress = f;
+    TelemetryHub hub(cfg);
+    hub.start();
+    hub.add_planned_tasks(2);
+    TelemetryWorkerSlot* slot = hub.open_worker_slot();
+    hub.tick_now();  // work outstanding: a live 0/2 line
+    hub.note_task_done(slot, 2);
+    hub.tick_now();  // all retired: closes the line
+    hub.tick_now();  // idle, nothing showing: silent
+    hub.stop();      // same summary already on screen: silent
+  }
+  const std::string bytes = drain(f);
+  std::fclose(f);
+  EXPECT_EQ(count_of(bytes, '\r'), 2u) << bytes;
+  EXPECT_EQ(count_of(bytes, '\n'), 1u) << bytes;
+  EXPECT_EQ(bytes.back(), '\n');
+  EXPECT_NE(bytes.find("2/2 tasks (100.0%)"), std::string::npos) << bytes;
 }
 
 }  // namespace

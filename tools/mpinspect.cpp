@@ -17,13 +17,14 @@
 //   mpinspect diff <baseline.json> <candidate.json>
 //             [--max-regress-pct <P>] [--counter-max-regress-pct <C>]
 //             [--json]
-//       Compare two run manifests / campaign_wallclock documents:
-//       per-thread-count wall-clock and throughput, histogram p50/p95/p99
-//       shifts, per-phase hardware counters, counter drift. Exits 1 when
-//       a gated quantity regresses: wall clock by more than P percent
-//       (default 25), or — when both documents carry counters —
-//       instructions retired by more than C percent (default 3; the
-//       deterministic count gates far below wall-clock noise). IPC and
+//       Compare two run manifests (campaign_wallclock output included):
+//       per-phase wall-clock — the bench's thread-count sweep rows are
+//       phases too — histogram p50/p95/p99 shifts, per-phase hardware
+//       counters, counter drift. Exits 1 when a gated quantity
+//       regresses: wall clock by more than P percent (default 25), or —
+//       when both documents carry counters — instructions retired by
+//       more than C percent (default 3; the deterministic count gates
+//       far below wall-clock noise). IPC and
 //       cache-miss-rate shifts are reported as notes, never gated.
 //       One-sided counters (one host lacked a PMU) are noted, not gated.
 //       --json emits a machine-readable report on stdout instead of
@@ -190,10 +191,8 @@ void summarize_journal_json(const obs::ReadJournal& read) {
 
 void summarize_manifest_json(const obs::ReadManifest& manifest) {
   std::printf("{\n");
-  std::printf("  \"tool\": \"%s\",\n  \"version\": \"%s\",\n"
-              "  \"schema\": %d,\n",
-              obs::json_escape(manifest.tool).c_str(),
-              obs::json_escape(manifest.version).c_str(), manifest.schema);
+  std::printf("  \"tool\": \"%s\",\n  \"schema\": %d,\n",
+              obs::json_escape(manifest.tool).c_str(), manifest.schema);
   std::printf("  \"config\": {");
   bool first = true;
   for (const auto& [key, value] : manifest.config) {
@@ -222,20 +221,6 @@ void summarize_manifest_json(const obs::ReadManifest& manifest) {
     std::printf("}");
   }
   std::printf("%s],\n", manifest.phases.empty() ? "" : "\n  ");
-  std::printf("  \"runs\": [");
-  for (std::size_t i = 0; i < manifest.runs.size(); ++i) {
-    const obs::BenchRunRow& run = manifest.runs[i];
-    std::printf("%s\n    {\"threads\": %llu, \"seconds\": %g, "
-                "\"tasks_per_s\": %g, \"store_identical\": %s}",
-                i == 0 ? "" : ",",
-                static_cast<unsigned long long>(run.threads), run.seconds,
-                run.throughput(), run.store_identical ? "true" : "false");
-  }
-  std::printf("%s],\n", manifest.runs.empty() ? "" : "\n  ");
-  if (manifest.has_recording) {
-    std::printf("  \"recording_overhead\": %g,\n",
-                manifest.recording_overhead);
-  }
   std::printf("  \"histograms\": [");
   for (std::size_t i = 0; i < manifest.metrics.histograms.size(); ++i) {
     const obs::HistogramSnapshot& h = manifest.metrics.histograms[i];
@@ -328,11 +313,8 @@ void summarize_journal(const obs::ReadJournal& read) {
 }
 
 void summarize_manifest(const obs::ReadManifest& manifest) {
-  std::printf("%s: %s%s%s\n",
-              manifest.schema != 0 ? "manifest" : "benchmark",
-              manifest.tool.c_str(),
-              manifest.version.empty() ? "" : " @ ",
-              manifest.version.c_str());
+  std::printf("manifest: %s (schema %d)\n", manifest.tool.c_str(),
+              manifest.schema);
   if (!manifest.config.empty()) {
     analysis::TextTable table({"Config", "Value"});
     for (const auto& [key, value] : manifest.config) {
@@ -378,22 +360,6 @@ void summarize_manifest(const obs::ReadManifest& manifest) {
     std::printf("\n%s", table.to_string().c_str());
     if (!manifest.perf_counters.empty()) {
       std::printf("perf counters: %s\n", manifest.perf_counters.c_str());
-    }
-  }
-  if (!manifest.runs.empty()) {
-    analysis::TextTable table(
-        {"Threads", "Seconds", "Tasks/s", "Store identical"});
-    for (const obs::BenchRunRow& run : manifest.runs) {
-      table.add_row({std::to_string(run.threads),
-                     format_double(run.seconds),
-                     format_double(run.throughput(), "%.1f"),
-                     run.store_identical ? "yes" : "NO"});
-    }
-    std::printf("\n%s", table.to_string().c_str());
-    if (manifest.has_recording) {
-      std::printf("recording overhead: %s\n",
-                  format_signed_pct(100.0 * manifest.recording_overhead)
-                      .c_str());
     }
   }
   if (!manifest.metrics.histograms.empty()) {
@@ -603,21 +569,6 @@ int cmd_hotspots(const std::vector<std::string>& args) {
 // diff
 
 void print_diff_tables(const obs::RunComparison& comparison) {
-  if (!comparison.runs.empty()) {
-    analysis::TextTable table(
-        {"Threads", "Base s", "Cand s", "Wall delta", "Base tasks/s",
-         "Cand tasks/s"});
-    for (const obs::BenchRunDelta& run : comparison.runs) {
-      table.add_row({std::to_string(run.threads),
-                     format_double(run.base_seconds),
-                     format_double(run.cand_seconds),
-                     format_signed_pct(run.seconds_pct()),
-                     format_double(run.base_throughput, "%.1f"),
-                     format_double(run.cand_throughput, "%.1f")});
-    }
-    std::printf("Wall clock by thread count:\n%s\n",
-                table.to_string().c_str());
-  }
   if (!comparison.phases.empty()) {
     bool any_counters = false;
     for (const obs::PhaseDelta& phase : comparison.phases) {
@@ -731,16 +682,6 @@ void print_diff_json(const obs::RunComparison& comparison,
   std::printf("  \"counter_max_regress_pct\": %g,\n",
               config.counter_max_regress_pct);
   std::printf("  \"pass\": %s,\n", gate.pass ? "true" : "false");
-  std::printf("  \"runs\": [");
-  for (std::size_t i = 0; i < comparison.runs.size(); ++i) {
-    const obs::BenchRunDelta& run = comparison.runs[i];
-    std::printf("%s\n    {\"threads\": %llu, \"base_seconds\": %g, "
-                "\"cand_seconds\": %g, \"seconds_pct\": %g}",
-                i == 0 ? "" : ",",
-                static_cast<unsigned long long>(run.threads),
-                run.base_seconds, run.cand_seconds, run.seconds_pct());
-  }
-  std::printf("%s],\n", comparison.runs.empty() ? "" : "\n  ");
   std::printf("  \"phases\": [");
   for (std::size_t i = 0; i < comparison.phases.size(); ++i) {
     const obs::PhaseDelta& phase = comparison.phases[i];
@@ -869,12 +810,8 @@ int cmd_diff(const std::vector<std::string>& args) {
     print_diff_json(comparison, gate, config, paths[0], paths[1]);
   } else {
     std::printf("baseline:  %s (%s)\ncandidate: %s (%s)\n\n",
-                paths[0].c_str(),
-                base.version.empty() ? base.tool.c_str()
-                                     : base.version.c_str(),
-                paths[1].c_str(),
-                cand.version.empty() ? cand.tool.c_str()
-                                     : cand.version.c_str());
+                paths[0].c_str(), base.tool.c_str(), paths[1].c_str(),
+                cand.tool.c_str());
     print_diff_tables(comparison);
     for (const std::string& note : gate.notes) {
       std::printf("note: %s\n", note.c_str());

@@ -3,12 +3,12 @@
 #
 # Runs the campaign_wallclock bench best-of-N and keeps the run with the
 # fastest serial campaign, so a one-off scheduler hiccup never becomes the
-# number every future PR is compared against. The bench JSON is already
-# self-describing — git describe, hostname, and perf-counter availability
-# are embedded by the bench itself — so the kept run IS the provenance
-# record: a later `mpinspect diff` against it can tell whether counter
-# deltas are meaningful (same-host, counters available on both sides) or
-# must degrade to wall-clock-only notes.
+# number every future PR is compared against. The bench writes a run
+# manifest whose config echo already carries git describe, hostname, and
+# perf-counter availability, so the kept run IS the provenance record: a
+# later `mpinspect diff` against it can tell whether counter deltas are
+# meaningful (same-host, counters available on both sides) or must
+# degrade to wall-clock-only notes.
 #
 # Usage: refresh_baseline.sh <campaign_wallclock-binary> <output.json> [reps]
 #
@@ -18,7 +18,8 @@
 #   cmake --build build --target refresh_baseline
 #
 # Thread counts {1, 2} match the checked-in baseline (CI runners are
-# 1-2 cores; wider sweeps just add noise rows the gate ignores).
+# 1-2 cores; wider sweeps just add phases only one side has, which the
+# gate notes and ignores).
 set -eu
 
 BENCH=${1:?usage: refresh_baseline.sh <campaign_wallclock-binary> <output.json> [reps]}
@@ -28,11 +29,12 @@ REPS=${3:-3}
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 
-# Serial campaign seconds of one bench JSON — the selection key. Gated
-# phases are already best-of-3 inside the bench; the serial sweep row is
-# the one quantity a single rerun can still rescue.
+# Serial campaign seconds of one bench manifest: the
+# paper_campaigns_threads_1_ms phase row, the selection key. The other
+# gated phases are already best-of-3 inside the bench; the serial sweep
+# row is the one quantity a single rerun can still rescue.
 serial_seconds() {
-    sed -n 's/.*"threads": 1, "seconds": \([0-9.e+-]*\),.*/\1/p' "$1" | head -n 1
+    sed -n 's/.*"name": "paper_campaigns_threads_1_ms", "seconds": \([0-9.e+-]*\).*/\1/p' "$1" | head -n 1
 }
 
 best=""
@@ -43,7 +45,7 @@ while [ "$i" -le "$REPS" ]; do
     "$BENCH" "$workdir/rep$i.json" 1 2 >&2
     secs=$(serial_seconds "$workdir/rep$i.json")
     if [ -z "$secs" ]; then
-        echo "refresh_baseline: rep $i produced no serial run row" >&2
+        echo "refresh_baseline: rep $i produced no paper_campaigns_threads_1_ms phase" >&2
         exit 1
     fi
     echo "refresh_baseline: rep $i serial campaign ${secs}s" >&2
