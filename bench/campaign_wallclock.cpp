@@ -27,8 +27,8 @@
 // --profile attaches the in-process sampling profiler (default 997 Hz)
 // to every recorded serial rep in the recording block. The
 // "recording.overhead" ratio then measures recorder + profiler cost
-// against the plain runs — the ≤3% budget the profiler must live
-// inside — and the manifest gains its "profile" section (hot symbols)
+// against the plain runs (a reported best-of-3 ratio; nothing gates
+// it) and the manifest gains its "profile" section (hot symbols)
 // that `mpinspect diff` uses for hot-symbol regression attribution.
 // With --trace-out the bundle additionally gets profile.folded and
 // trace.json sample events.
@@ -67,7 +67,7 @@
 //
 // --telemetry-out / --serve-metrics attach a live obs::TelemetryHub to
 // every *recorded* rep of the recording block, so "recording.overhead"
-// holds recorder + profiler + hub to the same 3% budget. The hub appends
+// reports recorder + profiler + hub cost together. The hub appends
 // its tick time-series to <dir>/timeseries.ndjson (pass the --trace-out
 // dir to get one self-checking bundle) and serves /metrics, /healthz,
 // and /snapshot.json on 127.0.0.1:<port> while the phase runs (port 0 =
@@ -365,13 +365,15 @@ int main(int argc, char** argv) {
 
   // Recording-overhead measurement: alternate plain and recorded serial
   // runs and compare the minima, so scheduler noise (easily ±5% on a
-  // loaded box) cancels out of the ratio. Target: <3% overhead; the
-  // recorded stores must stay byte-identical (pure-observer invariant).
+  // loaded box) mostly cancels out of the ratio. The ratio is reported,
+  // not gated (it has read anywhere from 5% to 30% across reps on one
+  // host); the recorded stores must stay byte-identical (pure-observer
+  // invariant), and that is checked.
   constexpr int kOverheadReps = 3;
   bool recorded_identical = true;
   // With --profile every recorded rep runs under the sampling profiler,
-  // so "recording.overhead" below measures recorder + profiler cost and
-  // the 3% budget covers both. One profiler accumulates across reps and
+  // so "recording.overhead" below measures recorder + profiler cost
+  // together. One profiler accumulates across reps and
   // is drained once, after the last recorded run.
   std::optional<obs::SamplingProfiler> profiler_storage;
   obs::SamplingProfiler* profiler = nullptr;
@@ -468,10 +470,9 @@ int main(int argc, char** argv) {
         }
       }
       if (rep == kOverheadReps - 1 && !trace_out.empty()) {
-        const obs::MetricsSnapshot snap = registry->snapshot();
         const bool with_profile =
             cpu_profile.available && cpu_profile.samples > 0;
-        if (!obs::write_trace_dir(trace_out, journal, &snap,
+        if (!obs::write_trace_dir(trace_out, journal,
                                   with_profile ? &cpu_profile : nullptr)) {
           std::cerr << "failed to write trace bundle to " << trace_out
                     << std::endl;
@@ -480,8 +481,7 @@ int main(int argc, char** argv) {
         std::cerr << "wrote trace bundle to " << trace_out << std::endl;
       }
     }
-    // Final tick (marked "final":true) scrapes the last rep's registry,
-    // which is what check_trace_bundle holds against metrics.prom.
+    // Final tick (marked "final":true) closes the time series.
     if (hub) hub->stop();
     const double overhead =
         plain_best > 0.0 ? recorded_seconds / plain_best - 1.0 : 0.0;

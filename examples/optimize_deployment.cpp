@@ -22,8 +22,8 @@
 // With --metrics-out the campaign and optimizer are instrumented and a
 // RunManifest (config echo, phases, counters, latency histograms) is
 // written at exit. With --trace-out the campaign runs under a flight
-// recorder and a trace bundle (Chrome trace, NDJSON provenance journal,
-// Prometheus metrics) is written into <dir>; --progress draws a live
+// recorder and a trace bundle (Chrome trace, NDJSON provenance journal)
+// is written into <dir>; --progress draws a live
 // stderr line at every telemetry tick (--tick-ms, default 1s) and a
 // summary line when the work drains. --profile samples campaign and
 // exhaustive-search worker CPU (default 997 Hz), adding hot symbols to
@@ -125,8 +125,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   obs::MetricsRegistry registry;
+  // Attached when something reads it: the manifest, or the hub's
+  // /metrics body and per-tick hot phase.
   obs::MetricsRegistry* metrics =
-      metrics_out.empty() && trace_out.empty() ? nullptr : &registry;
+      metrics_out.empty() && serve_port < 0 && telemetry_out.empty()
+          ? nullptr
+          : &registry;
   obs::FlightRecorder flight_recorder;
   obs::FlightRecorder* recorder =
       trace_out.empty() ? nullptr : &flight_recorder;
@@ -275,7 +279,8 @@ int main(int argc, char** argv) {
   }
 
   // Stop telemetry before artifacts are written so the final tick is on
-  // disk and agrees with the manifest counters.
+  // disk and no tick can bump campaign.stalls while the manifest is
+  // written.
   if (hub != nullptr) hub->stop();
 
   if (!metrics_out.empty()) {
@@ -294,10 +299,9 @@ int main(int argc, char** argv) {
   }
   if (recorder != nullptr) {
     const obs::FlightJournal journal = recorder->drain();
-    const obs::MetricsSnapshot snap = registry.snapshot();
     const bool with_profile =
         cpu_profile.available && cpu_profile.samples > 0;
-    if (!obs::write_trace_dir(trace_out, journal, &snap,
+    if (!obs::write_trace_dir(trace_out, journal,
                               with_profile ? &cpu_profile : nullptr)) {
       std::fprintf(stderr, "failed to write trace bundle to %s\n",
                    trace_out.c_str());

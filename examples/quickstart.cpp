@@ -22,9 +22,9 @@
 //
 // With `--trace-out <dir>` the campaigns additionally run under a flight
 // recorder and the run ends by writing a trace bundle into <dir>:
-// trace.json (Chrome trace_event, loadable at ui.perfetto.dev),
-// journal.ndjson (per-verdict decision provenance), and metrics.prom
-// (Prometheus text format). `--progress` draws a live
+// trace.json (Chrome trace_event, loadable at ui.perfetto.dev) and
+// journal.ndjson (per-verdict decision provenance); counter totals stay
+// in the `--metrics-out` manifest. `--progress` draws a live
 // `[campaign] done/total ... ETA` stderr line at every telemetry tick
 // (`--tick-ms`, default 1s) and a summary line when the work drains;
 // `--verbose` turns on the timestamped leveled log. `--profile[=hz]`
@@ -126,9 +126,12 @@ int main(int argc, char** argv) {
                                           /*timestamps=*/true);
   }
   obs::MetricsRegistry registry;
-  // The trace bundle embeds a metrics.prom, so tracing implies metrics.
+  // Attached when something reads it: the manifest, or the hub's
+  // /metrics body and per-tick hot phase.
   obs::MetricsRegistry* metrics =
-      metrics_out.empty() && trace_out.empty() ? nullptr : &registry;
+      metrics_out.empty() && serve_port < 0 && telemetry_out.empty()
+          ? nullptr
+          : &registry;
   obs::FlightRecorder flight_recorder;
   obs::FlightRecorder* recorder =
       trace_out.empty() ? nullptr : &flight_recorder;
@@ -330,8 +333,9 @@ int main(int argc, char** argv) {
   }
 
   // Stop telemetry before any artifact is written: the final tick must be
-  // on disk (and agree with the manifest counters) before the trace-bundle
-  // self-check reads timeseries.ndjson back.
+  // on disk before the trace-bundle self-check reads timeseries.ndjson
+  // back, and no tick may bump campaign.stalls while the manifest is
+  // written.
   if (hub != nullptr) hub->stop();
 
   if (!metrics_out.empty()) {
@@ -349,18 +353,17 @@ int main(int argc, char** argv) {
   }
   if (recorder != nullptr) {
     const obs::FlightJournal journal = recorder->drain();
-    const obs::MetricsSnapshot snap = registry.snapshot();
     const bool with_profile =
         cpu_profile.available && cpu_profile.samples > 0;
-    if (!obs::write_trace_dir(trace_out, journal, &snap,
+    if (!obs::write_trace_dir(trace_out, journal,
                               with_profile ? &cpu_profile : nullptr)) {
       std::fprintf(stderr, "failed to write trace bundle to %s\n",
                    trace_out.c_str());
       return 1;
     }
     std::printf(
-        "\nTrace bundle written to %s (trace.json, journal.ndjson, "
-        "metrics.prom%s): %zu task spans, %zu verdicts (%zu "
+        "\nTrace bundle written to %s (trace.json, journal.ndjson%s): "
+        "%zu task spans, %zu verdicts (%zu "
         "adversary-routed)\n",
         trace_out.c_str(), with_profile ? ", profile.folded" : "",
         journal.task_count(), journal.verdict_count(),

@@ -189,6 +189,14 @@ std::size_t checked_cell_count(const std::string& format, std::size_t sites,
   return mul(mul(mul(sites, sites), perspectives), attacks);
 }
 
+/// Largest store load_csv sizes from its header. CSV has no plane to read
+/// ahead of the allocation (the binary loader does), so an in-range but
+/// huge header such as `sites,60000,perspectives,60000` would otherwise
+/// size a ~2.2e14-cell store before any row is read. The largest store a
+/// workload writes is 32 sites * 32 * 106 perspectives * 4 attack planes
+/// = 434,176 cells; 2^27 cells (~134M, ~300x headroom) is the budget.
+constexpr std::size_t kMaxCsvCells = std::size_t{1} << 27;
+
 }  // namespace
 
 ResultStore ResultStore::load_csv(std::istream& in) {
@@ -249,8 +257,13 @@ ResultStore ResultStore::load_csv(std::istream& in) {
     throw std::runtime_error(
         "results csv attack_types comment does not match header count");
   }
-  (void)checked_cell_count("results csv", sites, perspectives,
-                           attacks.size());
+  const std::size_t cells =
+      checked_cell_count("results csv", sites, perspectives, attacks.size());
+  if (cells > kMaxCsvCells) {
+    throw std::runtime_error("results csv header asks for " +
+                             std::to_string(cells) + " cells, over the " +
+                             std::to_string(kMaxCsvCells) + "-cell budget");
+  }
   ResultStore store(sites, perspectives, std::move(attacks));
   std::getline(in, line);  // column header
   while (std::getline(in, line)) {

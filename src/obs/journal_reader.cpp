@@ -1,12 +1,7 @@
 #include "obs/journal_reader.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <istream>
-#include <sstream>
 #include <unordered_map>
-
-#include "obs/json.hpp"
 
 namespace marcopolo::obs {
 
@@ -147,29 +142,9 @@ void decode_quorum(const json::Value& rec, ReadJournal& out) {
 ReadJournal JournalReader::read(std::istream& in) {
   ReadJournal out;
   LaneIndex lanes(out.journal);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    ++out.lines;
-    json::Value rec;
-    try {
-      rec = json::parse(line);
-    } catch (const json::ParseError& error) {
-      out.errors.push_back({line_no, error.what()});
-      continue;
-    }
-    if (!rec.is_object()) {
-      out.errors.push_back({line_no, "record is not a JSON object"});
-      continue;
-    }
-    const json::Value* type = rec.find("type");
-    if (type == nullptr || !type->is_string()) {
-      out.errors.push_back({line_no, "record has no \"type\" string"});
-      continue;
-    }
-    const std::string& kind = type->str();
+  json::read_ndjson(in, out, [&](const std::string& kind,
+                                 const json::Value& rec,
+                                 std::size_t line_no) {
     if (kind == "meta") {
       decode_meta(rec, out, line_no);
     } else if (kind == "task") {
@@ -186,13 +161,10 @@ ReadJournal JournalReader::read(std::istream& in) {
     } else if (kind == "quorum") {
       decode_quorum(rec, out);
     } else {
-      // Forward compatibility: a newer writer's record types are skipped.
-      ++out.skipped_records;
+      return false;  // a newer writer's record type
     }
-  }
-  // A truncated final line (no trailing newline, cut mid-record) still
-  // arrives via getline and fails json::parse above, so interruption is
-  // always surfaced as a line-numbered error.
+    return true;
+  });
   std::sort(out.journal.workers.begin(), out.journal.workers.end(),
             [](const auto& a, const auto& b) { return a.worker < b.worker; });
   if (!out.has_meta && out.lines > 0) {
@@ -215,13 +187,7 @@ ReadJournal JournalReader::read(std::istream& in) {
 }
 
 ReadJournal JournalReader::read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    ReadJournal out;
-    out.errors.push_back({0, "cannot open " + path});
-    return out;
-  }
-  return read(in);
+  return json::read_ndjson_file(path, &JournalReader::read);
 }
 
 }  // namespace marcopolo::obs

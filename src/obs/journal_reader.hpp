@@ -24,14 +24,12 @@
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
+#include "obs/json.hpp"
 
 namespace marcopolo::obs {
 
 /// One problem found while reading, anchored to its journal line.
-struct JournalIssue {
-  std::size_t line = 0;  ///< 1-based.
-  std::string message;
-};
+using JournalIssue = json::LineIssue;
 
 /// QuorumRecord with an owned system name (the in-memory record borrows
 /// static storage, which a reader cannot reproduce).
@@ -44,8 +42,9 @@ struct ReadQuorumRecord {
   std::uint64_t virtual_us = 0;
 };
 
-/// Everything read back from one journal.ndjson.
-struct ReadJournal {
+/// Everything read back from one journal.ndjson (errors, skipped
+/// records and the line count come from json::NdjsonRead).
+struct ReadJournal : json::NdjsonRead {
   /// From the meta header line (schema stays 0 when no meta line seen).
   int schema = 0;
   bool has_meta = false;
@@ -59,12 +58,6 @@ struct ReadJournal {
   /// `quorums` below because of the owned-string difference).
   FlightJournal journal;
   std::vector<ReadQuorumRecord> quorums;
-
-  std::vector<JournalIssue> errors;    ///< Malformed lines.
-  std::size_t skipped_records = 0;     ///< Unknown "type" (forward compat).
-  std::size_t lines = 0;               ///< Non-empty lines consumed.
-
-  [[nodiscard]] bool ok() const { return errors.empty(); }
 };
 
 /// Parses journal.ndjson streams. Stateless; the static methods are the

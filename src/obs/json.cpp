@@ -2,8 +2,11 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <istream>
+#include <limits>
 
 namespace marcopolo::obs {
 
@@ -43,21 +46,32 @@ double Value::number() const {
   return std::get<double>(v);
 }
 
+// Integer tokens past the 64-bit range and exponents like 1e400 (= inf)
+// parse to doubles; casting an out-of-range double to an integer is UB,
+// so both accessors saturate instead.
 std::uint64_t Value::u64() const {
   if (const auto* u = std::get_if<std::uint64_t>(&v)) return *u;
   if (const auto* i = std::get_if<std::int64_t>(&v)) {
     return *i < 0 ? 0 : static_cast<std::uint64_t>(*i);
   }
   const double d = std::get<double>(v);
-  return d < 0.0 ? 0 : static_cast<std::uint64_t>(d);
+  if (!(d > 0.0)) return 0;  // negative, zero or NaN
+  if (d >= 0x1p64) return std::numeric_limits<std::uint64_t>::max();
+  return static_cast<std::uint64_t>(d);
 }
 
 std::int64_t Value::i64() const {
+  using Limits = std::numeric_limits<std::int64_t>;
   if (const auto* u = std::get_if<std::uint64_t>(&v)) {
-    return static_cast<std::int64_t>(*u);
+    return *u > std::uint64_t{Limits::max()} ? Limits::max()
+                                             : static_cast<std::int64_t>(*u);
   }
   if (const auto* i = std::get_if<std::int64_t>(&v)) return *i;
-  return static_cast<std::int64_t>(std::get<double>(v));
+  const double d = std::get<double>(v);
+  if (std::isnan(d)) return 0;
+  if (d >= 0x1p63) return Limits::max();
+  if (d < -0x1p63) return Limits::min();
+  return static_cast<std::int64_t>(d);
 }
 
 const Value* Value::find(const std::string& key) const {
@@ -311,6 +325,36 @@ class Parser {
 
 Value parse(std::string_view text) {
   return Parser(text).parse_document();
+}
+
+void read_ndjson(std::istream& in, NdjsonRead& out,
+                 const RecordHandler& handle) {
+  std::string line;
+  std::size_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (line.empty()) continue;
+    ++out.lines;
+    Value record;
+    try {
+      // A truncated final line (cut mid-record, no trailing newline)
+      // fails here, so interruption always surfaces as a line error.
+      record = parse(line);
+    } catch (const ParseError& error) {
+      out.errors.push_back({line_no, error.what()});
+      continue;
+    }
+    if (!record.is_object()) {
+      out.errors.push_back({line_no, "record is not a JSON object"});
+      continue;
+    }
+    const Value* type = record.find("type");
+    if (type == nullptr || !type->is_string()) {
+      out.errors.push_back({line_no, "record has no \"type\" string"});
+      continue;
+    }
+    if (!handle(type->str(), record, line_no)) ++out.skipped_records;
+  }
 }
 
 }  // namespace json

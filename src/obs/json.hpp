@@ -3,16 +3,20 @@
 // The repo deliberately carries no external JSON dependency; what it
 // needs is small and stable: escape strings on the write side
 // (manifests, NDJSON journal, Chrome trace) and parse its *own* output
-// on the read side (JournalReader, ManifestReader, `mpinspect`). The
-// parser is a strict recursive-descent one — it rejects trailing
-// garbage and malformed escapes, which doubles as a syntax check on the
-// writers — and preserves integer precision: a token without '.' or an
-// exponent is stored as a 64-bit integer, so nanosecond timestamps
-// (which exceed double's 2^53 exact-integer range on long-uptime hosts)
-// round-trip bit-exactly.
+// on the read side (JournalReader, TimeseriesReader, ManifestReader,
+// `mpinspect`). The parser is a strict recursive-descent one — it
+// rejects trailing garbage and malformed escapes, which doubles as a
+// syntax check on the writers — and preserves integer precision: a token
+// without '.' or an exponent is stored as a 64-bit integer, so
+// nanosecond timestamps (which exceed double's 2^53 exact-integer range
+// on long-uptime hosts) round-trip bit-exactly. read_ndjson() is the one
+// line loop behind both NDJSON readers (journal.ndjson,
+// timeseries.ndjson).
 #pragma once
 
 #include <cstdint>
+#include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -89,9 +93,11 @@ struct Value {
 
   /// Any number as double (integers converted).
   [[nodiscard]] double number() const;
-  /// Any number as uint64: exact for integer tokens, truncated for
-  /// doubles, 0 for negative values.
+  /// Any number as uint64: exact for integer tokens, doubles truncated
+  /// toward zero and saturated to [0, UINT64_MAX] (so a 23-digit literal
+  /// or 1e400 reads as UINT64_MAX, a negative value or -1e400 as 0).
   [[nodiscard]] std::uint64_t u64() const;
+  /// Same for int64, saturated to [INT64_MIN, INT64_MAX].
   [[nodiscard]] std::int64_t i64() const;
 
   /// Object member access. at() throws std::out_of_range on a missing
@@ -122,6 +128,50 @@ inline constexpr std::size_t kMaxDepth = 256;
 /// nesting deeper than kMaxDepth). Input must be exactly one value plus
 /// optional surrounding whitespace.
 [[nodiscard]] Value parse(std::string_view text);
+
+/// One problem an NDJSON reader found, anchored to its 1-based line
+/// (line 0 is the file itself, e.g. it cannot be opened).
+struct LineIssue {
+  std::size_t line = 0;
+  std::string message;
+};
+
+/// The bookkeeping every NDJSON read result carries; the journal and
+/// time-series results derive from it.
+struct NdjsonRead {
+  std::vector<LineIssue> errors;    ///< Malformed lines.
+  std::size_t skipped_records = 0;  ///< Unknown "type" (forward compat).
+  std::size_t lines = 0;            ///< Non-empty lines consumed.
+
+  [[nodiscard]] bool ok() const { return errors.empty(); }
+};
+
+/// Decodes one record: `type` is its "type" tag, `line` its 1-based line
+/// number. Returns false when the reader does not know `type`.
+using RecordHandler = std::function<bool(
+    const std::string& type, const Value& record, std::size_t line)>;
+
+/// The NDJSON line loop: skips empty lines, counts the rest, and reports
+/// a line that is not a JSON object with a "type" string as an error on
+/// that line. Every other line goes to `handle`; a type it does not know
+/// is counted in skipped_records, never an error, so a newer writer's
+/// record types read cleanly.
+void read_ndjson(std::istream& in, NdjsonRead& out,
+                 const RecordHandler& handle);
+
+/// `read` on the file at `path`; an unopenable path yields an empty
+/// result with a "cannot open" error on line 0.
+template <class Result>
+[[nodiscard]] Result read_ndjson_file(const std::string& path,
+                                      Result (*read)(std::istream&)) {
+  std::ifstream in(path);
+  if (!in) {
+    Result out;
+    out.errors.push_back({0, "cannot open " + path});
+    return out;
+  }
+  return read(in);
+}
 
 }  // namespace json
 }  // namespace marcopolo::obs

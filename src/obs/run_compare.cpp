@@ -425,31 +425,6 @@ FoldedProfile read_folded_profile_file(const std::string& path) {
 
 namespace {
 
-/// Minimal Prometheus text parse: plain `name value` sample lines
-/// (comments and labeled series like `..._bucket{le="1"}` skipped).
-std::map<std::string, std::uint64_t> read_prometheus_counters(
-    const std::string& path) {
-  std::map<std::string, std::uint64_t> out;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#' ||
-        line.find('{') != std::string::npos) {
-      continue;
-    }
-    const std::size_t space = line.find(' ');
-    if (space == std::string::npos) continue;
-    try {
-      out[line.substr(0, space)] =
-          static_cast<std::uint64_t>(std::stoull(line.substr(space + 1)));
-    } catch (const std::exception&) {
-      // Non-integer sample (histogram _sum can be large but is integral
-      // here; anything unparseable is simply not cross-checked).
-    }
-  }
-  return out;
-}
-
 void check_monotone_lanes(const ReadJournal& read, BundleCheckResult& out) {
   for (const auto& lane : read.journal.workers) {
     for (std::size_t i = 1; i < lane.tasks.size(); ++i) {
@@ -548,22 +523,10 @@ BundleCheckResult check_trace_bundle(const std::string& dir,
     }
   }
 
-  const std::filesystem::path prom_path = base / "metrics.prom";
-  if (std::filesystem::exists(prom_path)) {
-    const auto samples = read_prometheus_counters(prom_path.string());
-    const auto it = samples.find("marcopolo_campaign_tasks_executed");
-    if (it != samples.end() && out.tasks != 0 && it->second != out.tasks) {
-      out.fail("metrics.prom campaign_tasks_executed " +
-               std::to_string(it->second) + " != journal task spans " +
-               std::to_string(out.tasks));
-    }
-  }
-
   const std::filesystem::path timeseries_path = base / "timeseries.ndjson";
-  const TimeseriesTick* last_tick = nullptr;
-  ReadTimeseries timeseries;
   if (std::filesystem::exists(timeseries_path)) {
-    timeseries = TimeseriesReader::read_file(timeseries_path.string());
+    const ReadTimeseries timeseries =
+        TimeseriesReader::read_file(timeseries_path.string());
     out.has_timeseries = true;
     out.timeseries_ticks = timeseries.ticks.size();
     for (const TimeseriesIssue& issue : timeseries.errors) {
@@ -572,20 +535,6 @@ BundleCheckResult check_trace_bundle(const std::string& dir,
     }
     if (timeseries.ok() && !timeseries.has_meta) {
       out.fail("timeseries.ndjson has no meta record");
-    }
-    // Final-tick counter agreement: the hub's last registry scrape must
-    // tell the same story as the post-run artifacts. (A crashed run has
-    // no "final":true tick — that's legitimate; the last completed tick
-    // still has to agree when it carries counters.)
-    last_tick = timeseries.last_tick();
-    if (last_tick != nullptr) {
-      const std::uint64_t ts_tasks =
-          last_tick->counter("campaign.tasks_executed");
-      if (ts_tasks != 0 && out.tasks != 0 && ts_tasks != out.tasks) {
-        out.fail("timeseries final tick campaign.tasks_executed " +
-                 std::to_string(ts_tasks) + " != journal task spans " +
-                 std::to_string(out.tasks));
-      }
     }
   }
 
@@ -614,18 +563,6 @@ BundleCheckResult check_trace_bundle(const std::string& dir,
                  std::to_string(manifest.profile.samples) +
                  " != profile.folded total " +
                  std::to_string(out.profile_samples));
-      }
-      if (last_tick != nullptr) {
-        const std::uint64_t ts_tasks =
-            last_tick->counter("campaign.tasks_executed");
-        const std::uint64_t manifest_tasks =
-            manifest.metrics.counter("campaign.tasks_executed");
-        if (ts_tasks != 0 && manifest_tasks != 0 &&
-            ts_tasks != manifest_tasks) {
-          out.fail("timeseries final tick campaign.tasks_executed " +
-                   std::to_string(ts_tasks) + " != manifest counter " +
-                   std::to_string(manifest_tasks));
-        }
       }
     }
   }

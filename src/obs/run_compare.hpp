@@ -279,26 +279,24 @@ struct BundleCheckResult {
   }
 };
 
-/// Validate the trace bundle in `dir` (journal.ndjson required;
-/// trace.json and metrics.prom checked when present):
+/// Validate the trace bundle in `dir` (journal.ndjson required; the
+/// other files checked when present):
 ///   - journal parses with schema 1 and no line errors;
-///   - meta header counts match the actual record counts;
+///   - meta header counts match the actual record counts (how a journal
+///     cut at a line boundary is caught);
 ///   - timestamps are monotone within each lane (task start_ns per
 ///     worker, attack announce_us, quorum virtual_us);
 ///   - trace.json is well-formed JSON with a traceEvents array;
-///   - metrics.prom counters agree with the journal (tasks, and when a
-///     run manifest is supplied via `manifest_path`, its counters too);
-///   - profile.folded, when present, parses cleanly (non-empty
-///     `;`-separated stacks, positive counts) and its sample total
-///     agrees with the manifest's "profile" section when one is
-///     supplied;
-///   - timeseries.ndjson, when present, parses with timeseries_schema 1,
-///     has strictly increasing tick ids (a tampered or interleaved file
-///     fails with its line number), and its last tick's embedded
-///     campaign.tasks_executed agrees with the journal task spans and —
-///     when a manifest is supplied — the manifest counter. A file with
-///     no "final" tick is fine (a killed run keeps every completed
-///     tick); counter agreement is still checked against its last one.
+///   - profile.folded parses cleanly (non-empty `;`-separated stacks,
+///     positive counts);
+///   - timeseries.ndjson parses with timeseries_schema 1, has a meta
+///     record and strictly increasing tick ids (a tampered or
+///     interleaved file fails with its line number). A file with no
+///     "final" tick is fine: a killed run keeps every completed tick.
+/// With a run manifest (`manifest_path`), the one home of counter
+/// totals, its campaign.tasks_executed and orchestrator.attack_attempts
+/// must match the journal's task and attack spans, and its "profile"
+/// sample count the profile.folded total.
 [[nodiscard]] BundleCheckResult check_trace_bundle(
     const std::string& dir, const std::string& manifest_path = {});
 

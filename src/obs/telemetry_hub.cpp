@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 
 #include "obs/flight_recorder.hpp"
@@ -270,17 +271,15 @@ void TelemetryHub::tick_locked(bool final_tick) {
   snap.rss_kb = mem.rss_kb;
   snap.peak_rss_kb = mem.peak_rss_kb;
 
-  // Full registry scrape: hot phase from ns-histogram deltas, counters
-  // embedded in the tick line and served as /metrics.
-  MetricsSnapshot counters;
-  bool have_counters = false;
+  // Registry scrape: the hot phase from ns-histogram deltas, and the
+  // /metrics body. Counter totals are not copied into the tick; the run
+  // manifest is their one home.
+  std::optional<MetricsSnapshot> metrics;
   if (config_.metrics != nullptr) {
-    counters = config_.metrics->snapshot();
-    have_counters = true;
+    metrics = config_.metrics->snapshot();
     std::uint64_t best_delta = 0;
     for (int p = 0; p < 3; ++p) {
-      const HistogramSnapshot* hist =
-          counters.histogram(kPhaseHistograms[p]);
+      const HistogramSnapshot* hist = metrics->histogram(kPhaseHistograms[p]);
       const std::uint64_t sum = hist != nullptr ? hist->sum : 0;
       const std::uint64_t delta =
           sum > prev_phase_ns_[p] ? sum - prev_phase_ns_[p] : 0;
@@ -333,23 +332,19 @@ void TelemetryHub::tick_locked(bool final_tick) {
   }
   snap.stalls = stalls_.load(std::memory_order_relaxed);
 
-  write_tick_line(snap, have_counters ? &counters : nullptr);
+  write_tick_line(snap);
   draw_progress_line(snap);
 
   if (server_ != nullptr && server_->available()) {
     auto payload = std::make_shared<TelemetryPayload>();
-    if (have_counters) {
+    if (metrics) {
       std::ostringstream prom;
-      write_prometheus_text(prom, counters);
+      write_prometheus_text(prom, *metrics);
       payload->prometheus = prom.str();
     }
+    // Same fields as the tick line minus the "type" tag.
     payload->snapshot_json = "{";
-    {
-      // Same fields as the tick line minus the "type" tag.
-      std::string body;
-      append_tick_fields(&body, snap, have_counters ? &counters : nullptr);
-      payload->snapshot_json += body;
-    }
+    append_tick_fields(&payload->snapshot_json, snap);
     payload->snapshot_json += "}";
     server_->publish(std::move(payload));
   }
@@ -365,8 +360,7 @@ void TelemetryHub::tick_locked(bool final_tick) {
 }
 
 void TelemetryHub::append_tick_fields(std::string* out,
-                                      const TelemetrySnapshot& snap,
-                                      const MetricsSnapshot* counters) {
+                                      const TelemetrySnapshot& snap) {
   char head[160];
   std::snprintf(head, sizeof head,
                 "\"tick\":%" PRIu64 ",\"t_ns\":%" PRIu64, snap.tick,
@@ -398,26 +392,12 @@ void TelemetryHub::append_tick_fields(std::string* out,
     append_double(out, snap.eta_s);
   }
   if (snap.final_tick) out->append(",\"final\":true");
-  if (counters != nullptr) {
-    out->append(",\"counters\":{");
-    bool first = true;
-    for (const auto& [name, value] : counters->counters) {
-      if (!first) out->append(",");
-      first = false;
-      out->append("\"");
-      out->append(json_escape(name));
-      out->append("\":");
-      out->append(std::to_string(value));
-    }
-    out->append("}");
-  }
 }
 
-void TelemetryHub::write_tick_line(const TelemetrySnapshot& snap,
-                                   const MetricsSnapshot* counters) {
+void TelemetryHub::write_tick_line(const TelemetrySnapshot& snap) {
   if (timeseries_ == nullptr) return;
   std::string line = "{\"type\":\"tick\",";
-  append_tick_fields(&line, snap, counters);
+  append_tick_fields(&line, snap);
   line += "}\n";
   std::fputs(line.c_str(), timeseries_);
   // Flush per tick: a killed run keeps every completed tick (the

@@ -9,9 +9,10 @@
 // is hot" answered while the process runs. The hub is that answer:
 //
 //   - A sampler thread ticks on a configurable period (default 1s).
-//     Each tick scrapes the metrics registry, the recorder's live
-//     verdict/instruction tallies, per-worker completion slots, and
-//     VmRSS/VmHWM, derives rates from the previous tick, and
+//     Each tick scrapes the metrics registry (for the hot phase and
+//     `/metrics`), the recorder's live verdict/instruction tallies,
+//     per-worker completion slots, and VmRSS/VmHWM, derives rates from
+//     the previous tick, and
 //     (a) appends one schema-versioned NDJSON record to
 //         `timeseries.ndjson` (crash-safe: append + flush per tick, so a
 //         killed run keeps every completed tick), and
@@ -43,11 +44,12 @@
 //   {"type":"tick","tick":0,"t_ns":...,"tasks_done":...,"tasks_total":...,
 //    "tasks_per_s":...,"workers_live":...,"stalls":...,"verdicts":...,
 //    "adversary_verdicts":...,"instructions":...,"instructions_per_s":...,
-//    "rss_kb":...,"peak_rss_kb":...,"hot_phase":"classify","eta_s":...,
-//    "counters":{"campaign.tasks_executed":...,...}}
+//    "rss_kb":...,"peak_rss_kb":...,"hot_phase":"classify","eta_s":...}
 // Tick ids are monotone from 0; the last record of a clean shutdown adds
 // "final":true. rss/peak_rss are omitted when /proc is unavailable,
-// eta_s when unknown, counters when no registry is attached.
+// eta_s when unknown, hot_phase when no registry is attached or no phase
+// advanced. Ticks carry live progress only; counter totals live in the
+// run manifest (`--metrics-out`), their one home.
 #pragma once
 
 #include <atomic>
@@ -179,10 +181,8 @@ class TelemetryHub {
   void sampler_loop();
   void tick_locked(bool final_tick);
   static void append_tick_fields(std::string* out,
-                                 const TelemetrySnapshot& snap,
-                                 const MetricsSnapshot* counters);
-  void write_tick_line(const TelemetrySnapshot& snap,
-                       const MetricsSnapshot* counters);
+                                 const TelemetrySnapshot& snap);
+  void write_tick_line(const TelemetrySnapshot& snap);
   void draw_progress_line(const TelemetrySnapshot& snap);
 
   TelemetryConfig config_;

@@ -1,10 +1,6 @@
 #include "obs/timeseries_reader.hpp"
 
-#include <fstream>
-#include <istream>
-#include <sstream>
-
-#include "obs/json.hpp"
+#include <utility>
 
 namespace marcopolo::obs {
 
@@ -56,12 +52,6 @@ TimeseriesTick fill_tick(const json::Value& value) {
     tick.eta_s = eta->number();
   }
   tick.final_tick = value.bool_or("final", false);
-  if (const json::Value* counters = value.find("counters");
-      counters != nullptr && counters->is_object()) {
-    for (const auto& [name, v] : counters->object()) {
-      tick.counters.emplace_back(name, v.is_number() ? v.u64() : 0);
-    }
-  }
   return tick;
 }
 
@@ -83,56 +73,25 @@ void decode_tick(const json::Value& value, std::size_t line,
 
 }  // namespace
 
-std::uint64_t TimeseriesTick::counter(std::string_view name) const {
-  for (const auto& [n, v] : counters) {
-    if (n == name) return v;
-  }
-  return 0;
-}
-
 ReadTimeseries TimeseriesReader::read(std::istream& in) {
   ReadTimeseries out;
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    ++out.lines;
-    json::Value value;
-    try {
-      value = json::parse(line);
-    } catch (const json::ParseError& err) {
-      fail(&out, line_number, err.what());
-      continue;
-    }
-    if (!value.is_object()) {
-      fail(&out, line_number, "record is not a JSON object");
-      continue;
-    }
-    const json::Value* type = value.find("type");
-    if (type == nullptr || !type->is_string()) {
-      fail(&out, line_number, "record has no string \"type\" field");
-      continue;
-    }
-    if (type->str() == "meta") {
-      decode_meta(value, line_number, &out);
-    } else if (type->str() == "tick") {
-      decode_tick(value, line_number, &out);
+  json::read_ndjson(in, out, [&out](const std::string& type,
+                                    const json::Value& value,
+                                    std::size_t line) {
+    if (type == "meta") {
+      decode_meta(value, line, &out);
+    } else if (type == "tick") {
+      decode_tick(value, line, &out);
     } else {
-      ++out.skipped_records;  // a newer writer's record type
+      return false;  // a newer writer's record type
     }
-  }
+    return true;
+  });
   return out;
 }
 
 ReadTimeseries TimeseriesReader::read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    ReadTimeseries out;
-    fail(&out, 0, "cannot open " + path);
-    return out;
-  }
-  return read(in);
+  return json::read_ndjson_file(path, &TimeseriesReader::read);
 }
 
 bool TimeseriesReader::parse_snapshot(const std::string& text,

@@ -10,23 +10,23 @@
 // carrying their 1-based line number.
 //
 // Consumers: `mpinspect tail` / `mpinspect watch` (render ticks),
-// `check_trace_bundle` (monotonicity + final-tick counter agreement).
+// `check_trace_bundle` (schema, meta line, tick monotonicity). Counter
+// totals are not here: they live in the run manifest only. Files from
+// writers that embedded a "counters" object per tick still read; the
+// field is ignored like any other unknown one.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
+
+#include "obs/json.hpp"
 
 namespace marcopolo::obs {
 
 /// One problem found while reading, anchored to its line.
-struct TimeseriesIssue {
-  std::size_t line = 0;  ///< 1-based.
-  std::string message;
-};
+using TimeseriesIssue = json::LineIssue;
 
 /// One decoded tick record.
 struct TimeseriesTick {
@@ -48,16 +48,11 @@ struct TimeseriesTick {
   bool has_eta = false;
   double eta_s = 0.0;
   bool final_tick = false;
-  /// Embedded registry counter scrape, in file (name-sorted) order;
-  /// empty when the writer had no registry attached.
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-
-  /// Counter value by name; 0 if absent.
-  [[nodiscard]] std::uint64_t counter(std::string_view name) const;
 };
 
-/// Everything read back from one timeseries.ndjson.
-struct ReadTimeseries {
+/// Everything read back from one timeseries.ndjson (errors, skipped
+/// records and the line count come from json::NdjsonRead).
+struct ReadTimeseries : json::NdjsonRead {
   /// From the meta header line (0 when no meta line was seen).
   int schema = 0;
   bool has_meta = false;
@@ -66,11 +61,6 @@ struct ReadTimeseries {
 
   std::vector<TimeseriesTick> ticks;
 
-  std::vector<TimeseriesIssue> errors;  ///< Malformed/non-monotone lines.
-  std::size_t skipped_records = 0;      ///< Unknown "type" (forward compat).
-  std::size_t lines = 0;                ///< Non-empty lines consumed.
-
-  [[nodiscard]] bool ok() const { return errors.empty(); }
   /// The last tick, or nullptr when the file held none.
   [[nodiscard]] const TimeseriesTick* last_tick() const {
     return ticks.empty() ? nullptr : &ticks.back();

@@ -437,7 +437,6 @@ bool write_file_atomic(const std::string& path,
 }  // namespace
 
 bool write_trace_dir(const std::string& dir, const FlightJournal& journal,
-                     const MetricsSnapshot* snapshot,
                      const CpuProfile* profile) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
@@ -458,12 +457,6 @@ bool write_trace_dir(const std::string& dir, const FlightJournal& journal,
                           [&journal](std::ostream& out) {
                             write_journal_ndjson(out, journal);
                           });
-  if (snapshot != nullptr) {
-    ok &= write_file_atomic(dir + "/metrics.prom",
-                            [snapshot](std::ostream& out) {
-                              write_prometheus_text(out, *snapshot);
-                            });
-  }
   return ok;
 }
 

@@ -1,5 +1,4 @@
-// Export a drained FlightJournal (and a MetricsSnapshot) in standard
-// formats:
+// Export a drained FlightJournal in standard formats:
 //
 //   - Chrome trace_event JSON: loads in Perfetto (ui.perfetto.dev) or
 //     chrome://tracing. Wall-clock records appear under process 1
@@ -14,8 +13,9 @@
 //     Verdict lines carry the decision provenance (`decided_by`,
 //     `contested`, `route_age_sensitive`).
 //   - Prometheus text exposition format for a MetricsSnapshot
-//     (`# TYPE` / `# HELP`, cumulative histogram buckets), so the same
-//     counters the manifest embeds can be scraped or pushed.
+//     (`# TYPE` / `# HELP`, cumulative histogram buckets): the body the
+//     live `/metrics` endpoint serves. It is not part of the bundle;
+//     counter totals live in the run manifest only.
 #pragma once
 
 #include <iosfwd>
@@ -53,17 +53,17 @@ void write_journal_ndjson(std::ostream& out, const FlightJournal& journal);
 void write_prometheus_text(std::ostream& out, const MetricsSnapshot& snapshot);
 
 /// Write the standard trace bundle into directory `dir` (created if
-/// missing): trace.json (Chrome trace), journal.ndjson, and — when
-/// `snapshot` is non-null — metrics.prom. A non-null, available,
-/// non-empty `profile` additionally writes profile.folded and merges
-/// sample events into trace.json; otherwise the bundle is byte-identical
-/// to a profile-less call (the pure-observer contract). Returns false on
+/// missing): trace.json (Chrome trace) and journal.ndjson. A non-null,
+/// available, non-empty `profile` additionally writes profile.folded and
+/// merges sample events into trace.json; otherwise the bundle is
+/// byte-identical to a profile-less call (the pure-observer contract).
+/// Counter totals are not written here; they live in the run manifest.
+/// Returns false on
 /// any I/O failure (after attempting all files). Each file is written to
 /// `<name>.tmp` and renamed into place, so a crashed or interrupted run
 /// never leaves a truncated file at the final name.
 [[nodiscard]] bool write_trace_dir(const std::string& dir,
                                    const FlightJournal& journal,
-                                   const MetricsSnapshot* snapshot,
                                    const CpuProfile* profile = nullptr);
 
 }  // namespace marcopolo::obs

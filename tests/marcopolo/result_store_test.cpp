@@ -238,6 +238,18 @@ TEST(ResultStore, LoadRejectsOutOfRangeDimensionsAndRowIndices) {
   std::stringstream wide_perspectives("sites,2,perspectives,65537\n");
   EXPECT_THROW((void)ResultStore::load_csv(wide_perspectives),
                std::runtime_error);
+  // In range for the index types but ~2.2e14 cells: rejected by the cell
+  // budget before any allocation, with the count in the message.
+  std::stringstream huge("sites,60000,perspectives,60000\n"
+                         "victim,adversary,perspective,outcome\n");
+  try {
+    (void)ResultStore::load_csv(huge);
+    ADD_FAILURE() << "huge in-range header was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("216000000000000"),
+              std::string::npos)
+        << error.what();
+  }
 
   // Row indices are range-checked before narrowing: victim 65536 must not
   // wrap to SiteIndex 0 and land on cell (0,1).

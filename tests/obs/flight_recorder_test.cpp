@@ -238,19 +238,17 @@ TEST(PrometheusText, CumulativeBucketsAndSanitizedNames) {
             std::string::npos);
 }
 
-TEST(TraceDir, WritesAllThreeFiles) {
+TEST(TraceDir, WritesTraceAndJournalButNoMetricsProm) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "marcopolo_trace_test";
   std::filesystem::remove_all(dir);
 
-  MetricsRegistry registry;
-  registry.counter("x").add(1);
-  const MetricsSnapshot snap = registry.snapshot();
   const FlightJournal journal = sample_journal();
-  ASSERT_TRUE(write_trace_dir(dir.string(), journal, &snap));
+  ASSERT_TRUE(write_trace_dir(dir.string(), journal));
   EXPECT_TRUE(std::filesystem::exists(dir / "trace.json"));
   EXPECT_TRUE(std::filesystem::exists(dir / "journal.ndjson"));
-  EXPECT_TRUE(std::filesystem::exists(dir / "metrics.prom"));
+  // Counter totals live in the run manifest only.
+  EXPECT_FALSE(std::filesystem::exists(dir / "metrics.prom"));
   EXPECT_GT(std::filesystem::file_size(dir / "trace.json"), 0u);
   std::filesystem::remove_all(dir);
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 namespace marcopolo::obs::json {
@@ -115,6 +117,26 @@ TEST(JsonParse, ParseErrorCarriesByteOffset) {
     EXPECT_EQ(e.offset(), 7u);
     EXPECT_NE(std::string(e.what()).find("byte 7"), std::string::npos);
   }
+}
+
+TEST(JsonValue, OutOfRangeNumbersSaturateInsteadOfOverflowing) {
+  // 1e400 parses to +inf and a 23-digit literal falls through to a
+  // double past 2^64; casting either to an integer would be UB.
+  constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kI64Min = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(parse("1e400").u64(), kU64Max);
+  EXPECT_EQ(parse("1e400").i64(), kI64Max);
+  EXPECT_EQ(parse("-1e400").u64(), 0u);
+  EXPECT_EQ(parse("-1e400").i64(), kI64Min);
+  const Value huge = parse(R"({"b": 99999999999999999999999})");
+  EXPECT_EQ(huge.u64_or("b", 0), kU64Max);
+  EXPECT_EQ(huge.at("b").i64(), kI64Max);
+  EXPECT_EQ(parse("-99999999999999999999999").i64(), kI64Min);
+  // An integer token above INT64_MAX saturates rather than wrapping.
+  EXPECT_EQ(parse("18446744073709551615").i64(), kI64Max);
+  // In range, doubles still truncate toward zero.
+  EXPECT_EQ(parse("-41.9").i64(), -41);
 }
 
 TEST(JsonValue, ForwardCompatibleLookups) {

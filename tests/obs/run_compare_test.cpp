@@ -407,8 +407,7 @@ class BundleCheckTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  /// Write a coherent bundle: journal + trace + metrics whose
-  /// campaign.tasks_executed matches the journal's task spans.
+  /// Write a coherent bundle: journal + trace with three task spans.
   FlightJournal write_good_bundle() {
     FlightRecorder recorder;
     FlightBuffer* w = recorder.open_buffer();
@@ -422,10 +421,7 @@ class BundleCheckTest : public ::testing::Test {
       w->record_verdict(v);
     }
     FlightJournal journal = recorder.drain();
-    MetricsRegistry reg;
-    reg.counter("campaign.tasks_executed").add(3);
-    const MetricsSnapshot snap = reg.snapshot();
-    EXPECT_TRUE(write_trace_dir(dir_, journal, &snap));
+    EXPECT_TRUE(write_trace_dir(dir_, journal));
     return journal;
   }
 
@@ -524,20 +520,6 @@ TEST_F(BundleCheckTest, TamperedTimeseriesFailsWithLineNumber) {
             std::string::npos)
       << result.problems[0];
   EXPECT_NE(result.problems[0].find("non-monotone"), std::string::npos);
-}
-
-TEST_F(BundleCheckTest, TimeseriesFinalCounterDisagreementFails) {
-  write_good_bundle();
-  std::ofstream(dir_ + "/timeseries.ndjson")
-      << R"({"type":"meta","timeseries_schema":1,"tick_ms":100})" << "\n"
-      << R"({"type":"tick","tick":0,"final":true,)"
-      << R"("counters":{"campaign.tasks_executed":999}})" << "\n";
-  const BundleCheckResult result = check_trace_bundle(dir_);
-  EXPECT_FALSE(result.ok);
-  ASSERT_FALSE(result.problems.empty());
-  EXPECT_NE(result.problems[0].find("timeseries"), std::string::npos);
-  EXPECT_NE(result.problems[0].find("campaign.tasks_executed"),
-            std::string::npos);
 }
 
 TEST_F(BundleCheckTest, ManifestCounterDisagreementFails) {

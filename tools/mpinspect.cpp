@@ -34,10 +34,12 @@
 //       Structural validation of a trace bundle: journal schema tag,
 //       line-numbered parse errors (a truncated journal fails here),
 //       meta-vs-actual record counts, monotone timestamps per lane,
-//       trace.json well-formedness, journal-vs-manifest counter
-//       agreement, and — when the bundle carries a timeseries.ndjson —
-//       tick-id monotonicity plus final-tick-vs-manifest counter
-//       agreement. Exits 1 on any problem — this is the CI smoke check.
+//       trace.json well-formedness, profile.folded parsing, and — when
+//       the bundle carries a timeseries.ndjson — its schema, meta line
+//       and tick-id monotonicity. With --manifest, the journal's task
+//       and attack spans (and the folded sample total) must agree with
+//       the manifest, the one home of counter totals. Exits 1 on any
+//       problem — this is the CI smoke check.
 //
 //   mpinspect watch <url | dir | file.ndjson> [--interval-ms <n>] [--once]
 //       Live view of a running campaign: polls /snapshot.json on a
